@@ -1032,7 +1032,8 @@ impl<S: SeqSpec> GlobalState<S> {
         self.snap_fallbacks.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Is the incremental (prefix-cached) `allowed` path enabled?
+    /// Is the incremental `allowed` path enabled — the shard prefix
+    /// caches here and each handle's carried local-log denotation?
     pub fn incremental(&self) -> bool {
         self.incremental.load(Ordering::Relaxed)
     }
@@ -1577,23 +1578,6 @@ impl<S: SeqSpec> GlobalState<S> {
     ) -> bool {
         self.audit.count_mover(shard);
         self.spec.mover(a, b)
-    }
-
-    /// `allows` over an explicit log (used for local-log criteria).
-    pub(crate) fn allows_q(
-        &self,
-        shard: usize,
-        log: &[Op<S::Method, S::Ret>],
-        op: &Op<S::Method, S::Ret>,
-    ) -> bool {
-        self.audit.count_allowed(shard);
-        self.spec.allows(log, op)
-    }
-
-    /// `allowed` over an explicit log (used for local-log criteria).
-    pub(crate) fn allowed_q(&self, shard: usize, log: &[Op<S::Method, S::Ret>]) -> bool {
-        self.audit.count_allowed(shard);
-        self.spec.allowed(log)
     }
 
     /// `G allows op` (PUSH criterion (iii)). A single-shard view replays

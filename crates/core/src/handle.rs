@@ -16,14 +16,16 @@
 //!   shards its pushed/pulled operations touch, in canonical ascending
 //!   order.
 //! * **PULL** locks one shard at a time, only long enough to locate and
-//!   snapshot the pulled entry; its criteria and effect are local.
+//!   snapshot the pulled entry; its criteria and effect are local. The
+//!   batched snapshot [`TxnHandle::pull_committed`] reads all its
+//!   committed candidates in one critical section over every shard.
 //!   **UNPULL** is entirely local.
 //!
 //! Trace events are buffered per handle, stamped with a global atomic
 //! sequence number; [`Machine::trace`](crate::machine::Machine::trace)
 //! merges the buffers into one totally ordered trace.
 
-use std::collections::VecDeque;
+use std::collections::{HashSet, VecDeque};
 use std::sync::Arc;
 
 use crate::audit::QUERY_SHARDS;
@@ -31,7 +33,7 @@ use crate::error::{Clause, MachineError, MachineResult, Rule};
 use crate::faults::{BoundaryFault, FaultKind, HtmFault};
 use crate::global::{CommittedTxn, GlobalState, LogView, Route, TxnKind};
 use crate::lang::Code;
-use crate::log::{GlobalFlag, GlobalLog, LocalEntry, LocalFlag, LocalLog};
+use crate::log::{GlobalEntry, GlobalFlag, GlobalLog, LocalEntry, LocalFlag, LocalLog};
 use crate::machine::{CheckMode, StepOptions};
 use crate::op::{Op, OpId, ThreadId, TxnId};
 use crate::scope::{Compensation, ScopeFrame, ScopeKind, ScopeOrigin};
@@ -93,6 +95,31 @@ impl BatchTally {
     }
 }
 
+/// The incremental denotation of the local log `L` — the local twin of
+/// the shared log's `PrefixCache` (DESIGN.md §5). Only the handle's
+/// local-log mutators ([`TxnHandle::local_append`],
+/// [`TxnHandle::local_remove`], [`TxnHandle::reset_txn_state`]) touch
+/// `L`, and each keeps this right.
+#[derive(Debug, Clone)]
+struct LocalDenotation<St> {
+    /// `⟦L⟧`, when known. A removal drops it (a denotation cannot be
+    /// stepped backwards); the next query replays `L` in full once.
+    tip: Option<HashSet<St>>,
+    /// Length of the longest prefix of `L` known to be allowed. Prefix
+    /// closure makes every shorter prefix allowed too.
+    known_allowed: usize,
+}
+
+impl<St> LocalDenotation<St> {
+    /// The cache of an empty log: `⟦ε⟧` is computed on first use.
+    fn empty() -> Self {
+        Self {
+            tip: None,
+            known_allowed: 0,
+        }
+    }
+}
+
 /// A thread `{c, σ, L}` plus its queue of future transactions, bound to
 /// the machine's shared [`GlobalState`].
 ///
@@ -115,6 +142,8 @@ pub struct TxnHandle<S: SeqSpec> {
     stack: Vec<(S::Method, S::Ret)>,
     /// The local log `L`.
     local: LocalLog<S::Method, S::Ret>,
+    /// The incremental denotation of `local`.
+    denot: LocalDenotation<S::State>,
     /// The stack of nested scopes in flight over `local` (innermost
     /// last): frame `k` owns the log suffix from its `base_len`.
     frames: Vec<ScopeFrame<S>>,
@@ -163,6 +192,7 @@ impl<S: SeqSpec> TxnHandle<S> {
             original,
             stack: Vec::new(),
             local: LocalLog::new(),
+            denot: LocalDenotation::empty(),
             frames: Vec::new(),
             comps: Vec::new(),
             open_children: 0,
@@ -190,6 +220,7 @@ impl<S: SeqSpec> TxnHandle<S> {
             original: self.original.clone(),
             stack: self.stack.clone(),
             local: self.local.clone(),
+            denot: self.denot.clone(),
             frames: self.frames.clone(),
             comps: self.comps.clone(),
             open_children: self.open_children,
@@ -395,9 +426,16 @@ impl<S: SeqSpec> TxnHandle<S> {
     /// (APP criterion (ii) candidates).
     pub fn allowed_results(&self, method: &S::Method) -> MachineResult<Vec<S::Ret>> {
         let spec = self.global.spec();
-        let states = spec.denote(&self.local.ops());
+        let replayed;
+        let states = match &self.denot.tip {
+            Some(tip) if self.global.incremental() => tip,
+            _ => {
+                replayed = self.replay_local();
+                &replayed
+            }
+        };
         let mut out: Vec<S::Ret> = Vec::new();
-        for s in &states {
+        for s in states {
             for r in spec.results(s, method) {
                 if !out.contains(&r) {
                     out.push(r);
@@ -408,10 +446,111 @@ impl<S: SeqSpec> TxnHandle<S> {
         out.retain(|r| {
             let op = Op::new(OpId(u64::MAX), self.txn, method.clone(), r.clone());
             !spec
-                .denote_from(&states, std::slice::from_ref(&op))
+                .denote_from(states, std::slice::from_ref(&op))
                 .is_empty()
         });
         Ok(out)
+    }
+
+    /// The first allowed return value of `method` — APP's choice of σ₂
+    /// in the settling executors, read off the carried `⟦L⟧`.
+    fn first_allowed_result(&mut self, method: &S::Method) -> MachineResult<S::Ret> {
+        if self.global.incremental() {
+            self.ensure_tip();
+        }
+        self.allowed_results(method)?
+            .into_iter()
+            .next()
+            .ok_or(MachineError::NoAllowedResult(self.tid))
+    }
+
+    // ------------------------------------------------------------------
+    // The local log and its incremental denotation. Every mutation of
+    // `L` goes through `local_append`, `local_remove` or
+    // `reset_txn_state`, which keep `denot` right.
+    // ------------------------------------------------------------------
+
+    /// `⟦L⟧` by full replay from the initial states.
+    fn replay_local(&self) -> HashSet<S::State> {
+        self.global
+            .spec()
+            .denote_refs(self.local.iter().map(|e| &e.op))
+    }
+
+    /// Makes the carried tip valid: one full replay after a removal
+    /// dropped it.
+    fn ensure_tip(&mut self) {
+        if self.denot.tip.is_none() {
+            let states = self.replay_local();
+            if !states.is_empty() {
+                self.denot.known_allowed = self.local.len();
+            }
+            self.denot.tip = Some(states);
+        }
+    }
+
+    /// `L allows op` (APP and PULL criterion (ii)), one audited
+    /// `allowed` query. Returns `⟦L·op⟧` when non-empty, for
+    /// [`Self::local_append`] to carry as the new tip. Incrementally this
+    /// is one `denote_from(⟦L⟧, [op])` step; with
+    /// `set_incremental(false)` `⟦L⟧` is replayed in full first.
+    fn local_allows(&mut self, op: &Op<S::Method, S::Ret>) -> Option<HashSet<S::State>> {
+        self.global.audit.count_allowed(self.shard());
+        let replayed;
+        let states = if self.global.incremental() {
+            self.ensure_tip();
+            self.denot.tip.as_ref().expect("ensured above")
+        } else {
+            replayed = self.replay_local();
+            &replayed
+        };
+        let next = self
+            .global
+            .spec()
+            .denote_from(states, std::slice::from_ref(op));
+        (!next.is_empty()).then_some(next)
+    }
+
+    /// `allowed (L ∖ L[pos])` (UNPULL criterion (i)), one audited
+    /// `allowed` query. Dropping the last entry when the rest is a prefix
+    /// known to be allowed passes in O(1); any other removal, and every
+    /// removal with `set_incremental(false)`, replays in full.
+    fn local_allowed_without(&self, pos: usize) -> bool {
+        self.global.audit.count_allowed(self.shard());
+        if self.global.incremental()
+            && pos + 1 == self.local.len()
+            && self.denot.known_allowed >= pos
+        {
+            return true;
+        }
+        let rest = self.local.iter().enumerate().filter(|&(i, _)| i != pos);
+        !self
+            .global
+            .spec()
+            .denote_refs(rest.map(|(_, e)| &e.op))
+            .is_empty()
+    }
+
+    /// Appends `entry` to `L`. `next` is `⟦L·op⟧` from the criterion
+    /// check that admitted it; `None` (an unchecked append) drops the tip.
+    fn local_append(
+        &mut self,
+        entry: LocalEntry<S::Method, S::Ret>,
+        next: Option<HashSet<S::State>>,
+    ) {
+        self.local.push_entry(entry);
+        if next.is_some() {
+            self.denot.known_allowed = self.local.len();
+        }
+        self.denot.tip = next;
+    }
+
+    /// Removes and returns `L[pos]`. The tip is dropped; only the prefix
+    /// below `pos` is still known to be allowed.
+    fn local_remove(&mut self, pos: usize) -> LocalEntry<S::Method, S::Ret> {
+        self.denot.tip = None;
+        self.denot.known_allowed = self.denot.known_allowed.min(pos);
+        self.local.remove_at(pos)
     }
 
     // ------------------------------------------------------------------
@@ -1077,9 +1216,10 @@ impl<S: SeqSpec> TxnHandle<S> {
         // transaction; everywhere else `current_txn()` is the root.
         let op = Op::new(id, self.current_txn(), method.clone(), ret.clone());
         // Criterion (ii): L allows op.
+        let mut next = None;
         if checked {
-            let local_ops = self.local.ops();
-            if !self.global.allows_q(self.shard(), &local_ops, &op) {
+            next = self.local_allows(&op);
+            if next.is_none() {
                 self.global.audit.fail(Rule::App, Clause::Ii);
                 return Err(MachineError::criterion(
                     Rule::App,
@@ -1093,13 +1233,16 @@ impl<S: SeqSpec> TxnHandle<S> {
         let saved_stack = self.stack.clone();
         self.stack.push((method.clone(), ret.clone()));
         self.code = Some(cont);
-        self.local.push_entry(LocalEntry {
-            op,
-            flag: LocalFlag::NotPushed {
-                saved_code,
-                saved_stack,
+        self.local_append(
+            LocalEntry {
+                op,
+                flag: LocalFlag::NotPushed {
+                    saved_code,
+                    saved_stack,
+                },
             },
-        });
+            next,
+        );
         let tid = self.tid;
         self.record(Event::App {
             thread: tid,
@@ -1121,11 +1264,7 @@ impl<S: SeqSpec> TxnHandle<S> {
             .into_iter()
             .find(|(m, _)| m == method)
             .ok_or(MachineError::NoSuchStep(self.tid))?;
-        let rets = self.allowed_results(&m)?;
-        let ret = rets
-            .into_iter()
-            .next()
-            .ok_or(MachineError::NoAllowedResult(self.tid))?;
+        let ret = self.first_allowed_result(&m)?;
         self.app(m, cont, ret)
     }
 
@@ -1138,11 +1277,7 @@ impl<S: SeqSpec> TxnHandle<S> {
             .into_iter()
             .next()
             .ok_or(MachineError::NoSuchStep(self.tid))?;
-        let rets = self.allowed_results(&m)?;
-        let ret = rets
-            .into_iter()
-            .next()
-            .ok_or(MachineError::NoAllowedResult(self.tid))?;
+        let ret = self.first_allowed_result(&m)?;
         self.app(m, cont, ret)
     }
 
@@ -1162,7 +1297,7 @@ impl<S: SeqSpec> TxnHandle<S> {
             }
         }
         let entry = match self.local.entries().last() {
-            Some(e) if e.flag.is_not_pushed() => self.local.pop_entry().expect("non-empty"),
+            Some(e) if e.flag.is_not_pushed() => self.local_remove(self.local.len() - 1),
             _ => return Err(MachineError::NothingToUnapply(self.tid)),
         };
         let (saved_code, saved_stack) = match entry.flag {
@@ -1781,13 +1916,80 @@ impl<S: SeqSpec> TxnHandle<S> {
     /// preceded the transaction).
     pub fn pull(&mut self, op_id: OpId) -> MachineResult<()> {
         self.fault_gate(Rule::Pull)?;
-        let checked = self.mode() != CheckMode::Unchecked;
-        let check_gray = self.mode() == CheckMode::Checked;
-        let shard = self.shard();
         let gentry = self
             .global
             .find_entry(op_id)
             .ok_or(MachineError::NoSuchOp(op_id))?;
+        let reachable_after = self.reachable_after();
+        self.pull_entry(gentry, &reachable_after)
+    }
+
+    /// Pulls every *committed* global operation not yet in the local log,
+    /// in global-log order — how opaque transactions snapshot the shared
+    /// state (§6.2: "transactions begin by PULLing all operations").
+    /// Returns the number of operations pulled.
+    ///
+    /// The candidates are read once under all shard locks: committed
+    /// entries are immutable and never leave `G`, so the list stays valid
+    /// while other threads push and commit. Each candidate then runs the
+    /// full PULL criteria and effect, exactly as [`Self::pull`] would.
+    ///
+    /// With `lenient`, a candidate whose criteria fail is skipped instead
+    /// of failing the call — the snapshot refresh drivers perform before
+    /// applying an operation. A skipped operation leaves the local view
+    /// behind the shared view; any resulting inconsistency surfaces later
+    /// as a PUSH criterion (iii) failure, which drivers treat as a
+    /// conflict.
+    ///
+    /// # Errors
+    ///
+    /// The first PULL error; with `lenient`, only structural errors.
+    pub fn pull_committed(&mut self, lenient: bool) -> MachineResult<usize> {
+        let candidates: Vec<GlobalEntry<S::Method, S::Ret>> = {
+            let view = self.global.acquire_all();
+            view.stamped()
+                .filter(|(_, e)| {
+                    e.flag == GlobalFlag::Committed && !self.local.contains_id(e.op.id)
+                })
+                .map(|(_, e)| e.clone())
+                .collect()
+        };
+        // Pulls never change the code, so one reachable set serves the
+        // whole batch.
+        let reachable_after = self.reachable_after();
+        let mut pulled = 0;
+        for gentry in candidates {
+            let res = self
+                .fault_gate(Rule::Pull)
+                .and_then(|()| self.pull_entry(gentry, &reachable_after));
+            match res {
+                Ok(()) => pulled += 1,
+                Err(MachineError::Criterion(_)) if lenient => {}
+                Err(e) => return Err(e),
+            }
+        }
+        Ok(pulled)
+    }
+
+    /// Methods the thread may still perform — the `reachable_after` datum
+    /// of the `Pull` events it records.
+    fn reachable_after(&self) -> Arc<[S::Method]> {
+        self.active_code()
+            .map(|c| c.reachable_methods())
+            .unwrap_or_default()
+            .into()
+    }
+
+    /// The PULL criteria and effect for a snapshotted global entry.
+    fn pull_entry(
+        &mut self,
+        gentry: GlobalEntry<S::Method, S::Ret>,
+        reachable_after: &Arc<[S::Method]>,
+    ) -> MachineResult<()> {
+        let checked = self.mode() != CheckMode::Unchecked;
+        let check_gray = self.mode() == CheckMode::Checked;
+        let shard = self.shard();
+        let op_id = gentry.op.id;
         let own =
             gentry.op.txn == self.txn || self.frames.iter().any(|f| f.txn == Some(gentry.op.txn));
         if own {
@@ -1810,13 +2012,12 @@ impl<S: SeqSpec> TxnHandle<S> {
                 format!("{op_id} already pulled"),
             ));
         }
+        let mut next = None;
         if checked {
             self.global.audit.pass(Rule::Pull, Clause::I);
-        }
-        if checked {
             // Criterion (ii): L allows op.
-            let local_ops = self.local.ops();
-            if !self.global.allows_q(shard, &local_ops, &gentry.op) {
+            next = self.local_allows(&gentry.op);
+            if next.is_none() {
                 self.global.audit.fail(Rule::Pull, Clause::Ii);
                 return Err(MachineError::criterion(
                     Rule::Pull,
@@ -1827,49 +2028,51 @@ impl<S: SeqSpec> TxnHandle<S> {
             self.global.audit.pass(Rule::Pull, Clause::Ii);
             // Criterion (iii), gray: own local ops move right of op.
             if check_gray {
+                let mut own_ops = self.local.iter().filter(|e| e.flag.is_own());
                 if self.global.statically_discharged(Rule::Pull, Clause::Iii) {
                     #[cfg(debug_assertions)]
-                    for own in self.local.own_ops() {
+                    for own in own_ops {
                         assert!(
-                            self.global.spec().mover(&own, &gentry.op),
+                            self.global.spec().mover(&own.op, &gentry.op),
                             "static discharge of PULL (iii) contradicted dynamically: {} vs {}",
-                            own.id,
+                            own.op.id,
                             op_id
                         );
                     }
                     self.global.audit.pass_static(Rule::Pull, Clause::Iii);
                 } else {
-                    for own in self.local.own_ops() {
-                        if !self.global.mover_q(shard, &own, &gentry.op) {
-                            self.global.audit.fail(Rule::Pull, Clause::Iii);
-                            return Err(MachineError::criterion(
-                                Rule::Pull,
-                                Clause::Iii,
-                                format!("own {} cannot move right of pulled {}", own.id, op_id),
-                            ));
-                        }
+                    if let Some(own) =
+                        own_ops.find(|own| !self.global.mover_q(shard, &own.op, &gentry.op))
+                    {
+                        self.global.audit.fail(Rule::Pull, Clause::Iii);
+                        return Err(MachineError::criterion(
+                            Rule::Pull,
+                            Clause::Iii,
+                            format!("own {} cannot move right of pulled {}", own.op.id, op_id),
+                        ));
                     }
                     self.global.audit.pass(Rule::Pull, Clause::Iii);
                 }
             }
         }
-        let reachable_after = self
-            .active_code()
-            .map(|c| c.reachable_methods())
-            .unwrap_or_default();
-        self.local.push_entry(LocalEntry {
-            op: gentry.op.clone(),
-            flag: LocalFlag::Pulled,
-        });
+        let GlobalEntry { op, flag } = gentry;
+        let (from, method, ret) = (op.txn, op.method.clone(), op.ret.clone());
+        self.local_append(
+            LocalEntry {
+                op,
+                flag: LocalFlag::Pulled,
+            },
+            next,
+        );
         let tid = self.tid;
         self.record(Event::Pull {
             thread: tid,
             op: op_id,
-            from: gentry.op.txn,
-            status_at_pull: gentry.flag,
-            method: gentry.op.method,
-            ret: gentry.op.ret,
-            reachable_after,
+            from,
+            status_at_pull: flag,
+            method,
+            ret,
+            reachable_after: Arc::clone(reachable_after),
         });
         Ok(())
     }
@@ -1881,28 +2084,19 @@ impl<S: SeqSpec> TxnHandle<S> {
     /// transaction did nothing that depended on it).
     pub fn unpull(&mut self, op_id: OpId) -> MachineResult<()> {
         let checked = self.mode() != CheckMode::Unchecked;
-        let shard = self.shard();
-        {
-            let entry = self
-                .local
-                .entry(op_id)
-                .ok_or(MachineError::NoSuchOp(op_id))?;
-            if !entry.flag.is_pulled() {
-                return Err(MachineError::WrongFlag {
-                    op: op_id,
-                    expected: "pld",
-                    found: "npshd/pshd",
-                });
-            }
+        let pos = self
+            .local
+            .position(op_id)
+            .ok_or(MachineError::NoSuchOp(op_id))?;
+        if !self.local.entries()[pos].flag.is_pulled() {
+            return Err(MachineError::WrongFlag {
+                op: op_id,
+                expected: "pld",
+                found: "npshd/pshd",
+            });
         }
         if checked {
-            let remaining: Vec<_> = self
-                .local
-                .iter()
-                .filter(|e| e.op.id != op_id)
-                .map(|e| e.op.clone())
-                .collect();
-            if !self.global.allowed_q(shard, &remaining) {
+            if !self.local_allowed_without(pos) {
                 self.global.audit.fail(Rule::UnPull, Clause::I);
                 return Err(MachineError::criterion(
                     Rule::UnPull,
@@ -1912,7 +2106,7 @@ impl<S: SeqSpec> TxnHandle<S> {
             }
             self.global.audit.pass(Rule::UnPull, Clause::I);
         }
-        let entry = self.local.remove_by_id(op_id).expect("checked above");
+        let entry = self.local_remove(pos);
         let tid = self.tid;
         self.record(Event::UnPull {
             thread: tid,
@@ -2050,6 +2244,7 @@ impl<S: SeqSpec> TxnHandle<S> {
     /// compensations are discarded, not replayed).
     fn reset_txn_state(&mut self) {
         self.local = LocalLog::new();
+        self.denot = LocalDenotation::empty();
         self.stack = Vec::new();
         self.frames.clear();
         self.comps.clear();
@@ -2659,27 +2854,6 @@ impl<S: SeqSpec> TxnHandle<S> {
         });
         self.record(Event::Begin { thread: tid, txn });
         Ok(txn)
-    }
-
-    /// Pulls every *committed* global operation not yet in the local log,
-    /// in global-log order — how opaque transactions snapshot the shared
-    /// state (§6.2: "transactions begin by PULLing all operations").
-    pub fn pull_all_committed(&mut self) -> MachineResult<usize> {
-        let candidates: Vec<OpId> = {
-            let view = self.global.acquire_all();
-            view.stamped()
-                .filter(|(_, e)| {
-                    e.flag == GlobalFlag::Committed && !self.local.contains_id(e.op.id)
-                })
-                .map(|(_, e)| e.op.id)
-                .collect()
-        };
-        let mut n = 0;
-        for id in candidates {
-            self.pull(id)?;
-            n += 1;
-        }
-        Ok(n)
     }
 }
 

@@ -130,8 +130,18 @@ impl<M: Clone, R: Clone> LocalLog<M, R> {
 
     /// Removes the entry with the given op id, returning it.
     pub fn remove_by_id(&mut self, id: OpId) -> Option<LocalEntry<M, R>> {
-        let idx = self.entries.iter().position(|e| e.op.id == id)?;
-        Some(self.entries.remove(idx))
+        let idx = self.position(id)?;
+        Some(self.remove_at(idx))
+    }
+
+    /// Removes and returns the entry at index `idx`, shifting later
+    /// entries down.
+    ///
+    /// # Panics
+    ///
+    /// If `idx` is out of bounds.
+    pub fn remove_at(&mut self, idx: usize) -> LocalEntry<M, R> {
+        self.entries.remove(idx)
     }
 
     /// Id-based membership (`op ∈ L` in the paper, equality lifted by id).

@@ -582,7 +582,7 @@ impl<S: SeqSpec> Machine<S> {
     /// in global-log order — how opaque transactions snapshot the shared
     /// state (§6.2: "transactions begin by PULLing all operations").
     pub fn pull_all_committed(&mut self, tid: ThreadId) -> MachineResult<usize> {
-        self.handle_mut(tid)?.pull_all_committed()
+        self.handle_mut(tid)?.pull_committed(false)
     }
 
     // ------------------------------------------------------------------
@@ -883,6 +883,38 @@ mod tests {
     }
 
     #[test]
+    fn lenient_pull_skips_conflicting_ops() {
+        let mut m = Machine::new(ToyCounter::with_bound(4));
+        let a = m.add_thread(vec![Code::method(CounterMethod::Inc)]);
+        let b = m.add_thread(vec![Code::method(CounterMethod::Get)]);
+        let ia = m.app_auto(a).unwrap();
+        m.push(a, ia).unwrap();
+        m.commit(a).unwrap();
+        // b observes get()=0 against its empty local view (stale).
+        m.app_auto(b).unwrap();
+        // Pulling a's committed inc now violates PULL (iii): b's get(=0)
+        // does not move right of inc. The lenient pull skips it; the
+        // strict one fails.
+        let h = m.handle_mut(b).unwrap();
+        assert_eq!(h.pull_committed(true).unwrap(), 0);
+        let err = h.pull_committed(false).unwrap_err();
+        assert_eq!(err.violated_rule(), Some(Rule::Pull));
+    }
+
+    #[test]
+    fn lenient_pull_takes_everything_when_clean() {
+        let mut m = Machine::new(ToyCounter::with_bound(4));
+        let a = m.add_thread(vec![Code::method(CounterMethod::Inc)]);
+        let b = m.add_thread(vec![Code::method(CounterMethod::Get)]);
+        let ia = m.app_auto(a).unwrap();
+        m.push(a, ia).unwrap();
+        m.commit(a).unwrap();
+        let h = m.handle_mut(b).unwrap();
+        assert_eq!(h.pull_committed(true).unwrap(), 1);
+        assert_eq!(h.pull_committed(true).unwrap(), 0);
+    }
+
+    #[test]
     fn sequences_of_transactions_get_fresh_ids() {
         let mut m = machine();
         let t = m.add_thread(vec![inc_code(), inc_code()]);
@@ -996,28 +1028,183 @@ mod tests {
         assert_eq!(m.thread(t).unwrap().local().len(), 1);
     }
 
-    /// Incremental and full-replay criteria evaluation agree — verdicts
-    /// and audit counts — on the same run.
+    /// A nondeterministic toy for [`incremental_matches_full_replay`]:
+    /// `'f'` (fork) may or may not bump the state below 4, so local-log
+    /// denotations are genuine state *sets*; `'r'` reads the state.
+    /// Counts its `post_states` steps.
+    #[derive(Debug, Default)]
+    struct Fork {
+        steps: std::sync::atomic::AtomicU64,
+    }
+
+    impl SeqSpec for Fork {
+        type Method = char;
+        type Ret = i64;
+        type State = i64;
+
+        fn initial_states(&self) -> Vec<i64> {
+            vec![0]
+        }
+
+        fn post_states(&self, s: &i64, m: &char, r: &i64) -> Vec<i64> {
+            self.steps
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            match (m, *r) {
+                ('f', 0) if *s < 4 => vec![*s, s + 1],
+                ('f', 0) => vec![*s],
+                ('r', r) if r == *s => vec![*s],
+                _ => vec![],
+            }
+        }
+
+        fn results(&self, s: &i64, m: &char) -> Vec<i64> {
+            match m {
+                'f' => vec![0],
+                _ => vec![*s],
+            }
+        }
+
+        fn state_universe(&self) -> Option<Vec<i64>> {
+            Some((0..=4).collect())
+        }
+    }
+
+    /// Incremental and full-replay criteria evaluation agree — traces,
+    /// audit ledgers and verdicts — on runs that drive the local-log
+    /// cache through every path: begin-time and lenient batched pulls,
+    /// tail UNPULLs in an abort loop, a middle UNPULL (the full-replay
+    /// fallback), UNAPP then APP of a different op at the same length,
+    /// and carried state sets of a nondeterministic spec.
     #[test]
     fn incremental_matches_full_replay() {
         let run = |incremental: bool| {
             let mut m = machine();
             m.set_incremental(incremental);
-            let a = m.add_thread(vec![inc_code(), inc_code()]);
+            let mut v: Vec<String> = Vec::new();
+            let a = m.add_thread(vec![inc_code(); 16]);
             let b = m.add_thread(vec![Code::method(CounterMethod::Get)]);
-            let ia = m.app_auto(a).unwrap();
-            m.push(a, ia).unwrap();
-            m.commit(a).unwrap();
+            let g = m.add_thread(vec![Code::method(CounterMethod::Get)]);
+            let either = Code::choice(inc_code(), Code::method(CounterMethod::Get));
+            let d = m.add_thread(vec![either]);
+            let commit_inc = |m: &mut Machine<ToyCounter>| {
+                let ia = m.app_auto(a).unwrap();
+                m.push(a, ia).unwrap();
+                m.commit(a).unwrap();
+            };
+            commit_inc(&mut m);
             m.pull_all_committed(b).unwrap();
             let gb = m.app_method(b, &CounterMethod::Get).unwrap();
-            let ia2 = m.app_auto(a).unwrap();
-            m.push(a, ia2).unwrap();
-            m.commit(a).unwrap();
+            commit_inc(&mut m);
             // b's stale get now fails PUSH (iii)/(ii) the same way in
             // both modes.
-            let push_res = m.push(b, gb).map_err(|e| e.violated_rule());
-            (m.audit().render(), m.trace().render(), push_res)
+            v.push(format!(
+                "{:?}",
+                m.push(b, gb).map_err(|e| e.violated_rule())
+            ));
+            for _ in 0..10 {
+                commit_inc(&mut m);
+            }
+            // g snapshots the 12 incs (a begin-time batched pull) and
+            // commits get(12); two more incs follow it.
+            v.push(format!("{:?}", m.pull_all_committed(g)));
+            let gg = m.app_auto(g).unwrap();
+            m.push(g, gg).unwrap();
+            m.commit(g).unwrap();
+            commit_inc(&mut m);
+            commit_inc(&mut m);
+            // d applies its own inc first, so the lenient pull checks
+            // PULL (iii) against it and skips the denied get(12).
+            m.app_method(d, &CounterMethod::Inc).unwrap();
+            v.push(format!(
+                "{:?}",
+                m.handle_mut(d).unwrap().pull_committed(true)
+            ));
+            // Abort loop: 14 tail UNPULLs, then a strict begin-time pull
+            // of all 15 committed ops.
+            m.abort_and_retry(d).unwrap();
+            v.push(format!("{:?}", m.pull_all_committed(d)));
+            let pulled: Vec<OpId> = m
+                .thread(d)
+                .unwrap()
+                .local()
+                .iter()
+                .map(|e| e.op.id)
+                .collect();
+            // Middle UNPULLs: below the get(12) the removal is denied,
+            // above it the fallback replay admits it; then a tail one.
+            v.push(format!(
+                "{:?}",
+                m.unpull(d, pulled[2]).map_err(|e| e.violated_rule())
+            ));
+            v.push(format!("{:?}", m.unpull(d, pulled[13])));
+            v.push(format!("{:?}", m.unpull(d, pulled[14])));
+            // UNAPP then APP of a different op at the same length: the get
+            // must see the state before the rewound inc.
+            m.app_method(d, &CounterMethod::Inc).unwrap();
+            m.unapp(d).unwrap();
+            m.app_method(d, &CounterMethod::Get).unwrap();
+            assert_eq!(m.thread(d).unwrap().stack().last().unwrap().1, 12);
+            v.push(format!(
+                "{:?}",
+                m.push_all_and_commit(d).map_err(|e| e.violated_rule())
+            ));
+            (m.audit().render(), m.trace().render(), v)
         };
-        assert_eq!(run(true), run(false));
+        let (audit, trace, verdicts) = run(true);
+        assert_eq!(
+            verdicts,
+            [
+                "Err(Some(Push))",
+                "Ok(12)",
+                "Ok(14)",
+                "Ok(15)",
+                "Err(Some(UnPull))",
+                "Ok(())",
+                "Ok(())",
+                "Err(Some(Push))",
+            ]
+        );
+        assert_eq!((audit, trace, verdicts), run(false));
+
+        let fork_run = |incremental: bool| {
+            let mut m = Machine::new(Fork::default());
+            m.set_incremental(incremental);
+            let mut v: Vec<String> = Vec::new();
+            let a = m.add_thread(vec![Code::method('f'); 3]);
+            let r = m.add_thread(vec![Code::method('r')]);
+            for _ in 0..3 {
+                let op = m.app_auto(a).unwrap();
+                m.push(a, op).unwrap();
+                m.commit(a).unwrap();
+            }
+            // ⟦f·f·f⟧ = {0, 1, 2, 3} is carried as the tip.
+            v.push(format!("{:?}", m.pull_all_committed(r)));
+            let mut rets = m.thread(r).unwrap().allowed_results(&'r').unwrap();
+            rets.sort_unstable();
+            v.push(format!("{rets:?}"));
+            v.push(format!(
+                "{:?}",
+                m.app(r, 'r', Code::Skip, 3).map_err(|e| e.violated_rule())
+            ));
+            m.unapp(r).unwrap();
+            m.app(r, 'r', Code::Skip, 2).unwrap();
+            let pulled: Vec<OpId> = m.global().committed_ops().iter().map(|o| o.id).collect();
+            // Middle UNPULLs: f·f·r(2) still reaches 2, f·r(2) does not.
+            v.push(format!("{:?}", m.unpull(r, pulled[0])));
+            v.push(format!(
+                "{:?}",
+                m.unpull(r, pulled[1]).map_err(|e| e.violated_rule())
+            ));
+            m.abort_and_retry(r).unwrap();
+            v.push(format!("{:?}", m.pull_all_committed(r)));
+            v.push(format!("{:?}", m.app(r, 'r', Code::Skip, 3).map(|_| ())));
+            let steps = m.spec().steps.load(std::sync::atomic::Ordering::Relaxed);
+            ((m.audit().render(), m.trace().render(), v), steps)
+        };
+        let (inc, inc_steps) = fork_run(true);
+        let (full, full_steps) = fork_run(false);
+        assert_eq!(inc, full);
+        // The reference path really does replay the local log in full.
+        assert!(inc_steps < full_steps, "{inc_steps} vs {full_steps}");
     }
 }

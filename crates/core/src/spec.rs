@@ -118,6 +118,21 @@ pub trait SeqSpec {
     }
 
     /// Extends a denotation by further operations: `⟦states · ops⟧`.
+    ///
+    /// Two laws hold, and the machine's carried denotations rely on
+    /// both (the shared log's prefix cache and the handle's local-log
+    /// tip, DESIGN.md §5):
+    ///
+    /// - `denote_from(∅, ops) = ∅` — nothing is reachable from no state.
+    ///   With `⟦ℓ·ops⟧ = denote_from(⟦ℓ⟧, ops)` this makes `allowed`
+    ///   prefix-closed: `⟦ℓ·x⟧ ≠ ∅ ⇒ ⟦ℓ⟧ ≠ ∅`, which decides UNPULL of
+    ///   the last local entry without a replay.
+    /// - `⟦ℓ·ops⟧ = denote_from(⟦ℓ⟧, ops)` — denotation composes, so a
+    ///   cached `⟦ℓ⟧` can be stepped forward one operation at a time.
+    ///
+    /// The default implementation (and [`SeqSpec::denote_from_refs`])
+    /// satisfies both by construction. No shipped spec overrides these
+    /// methods; an override must keep both laws.
     fn denote_from(
         &self,
         states: &HashSet<Self::State>,
@@ -668,5 +683,19 @@ mod tests {
         let empty: HashSet<i64> = HashSet::new();
         let out = spec.denote_from(&empty, &[counter_op(0, CounterMethod::Inc, 0)]);
         assert!(out.is_empty());
+    }
+
+    #[test]
+    fn denote_from_composes() {
+        let spec = ToyCounter::with_bound(3);
+        let log = [
+            counter_op(0, CounterMethod::Inc, 0),
+            counter_op(1, CounterMethod::Get, 1),
+            counter_op(2, CounterMethod::Inc, 0),
+        ];
+        for k in 0..=log.len() {
+            let (l, ops) = log.split_at(k);
+            assert_eq!(spec.denote_from(&spec.denote(l), ops), spec.denote(&log));
+        }
     }
 }

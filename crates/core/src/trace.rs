@@ -11,6 +11,7 @@
 //!    decompositions can be eyeballed against the paper.
 
 use std::fmt;
+use std::sync::Arc;
 
 use crate::log::GlobalFlag;
 use crate::op::{OpId, ThreadId, TxnId};
@@ -79,8 +80,9 @@ pub enum Event<M, R> {
         /// The pulled operation's recorded return value.
         ret: R,
         /// Methods the puller may still perform after the pull — the datum
-        /// the §6.1 commutativity refinement of opacity needs.
-        reachable_after: Vec<M>,
+        /// the §6.1 commutativity refinement of opacity needs. Pulls never
+        /// change the code, so one batch of pulls shares one allocation.
+        reachable_after: Arc<[M]>,
     },
     /// UNPULL: `op` was discarded from the local view.
     UnPull {
@@ -331,7 +333,7 @@ mod tests {
             status_at_pull: GlobalFlag::Uncommitted,
             method: "put",
             ret: 0,
-            reachable_after: vec![],
+            reachable_after: Vec::new().into(),
         });
         assert!(t.render().contains("UNCOMMITTED"));
     }

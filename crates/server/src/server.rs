@@ -43,7 +43,6 @@ use pushpull_core::op::{ThreadId, TxnId};
 use pushpull_core::spec::SeqSpec;
 use pushpull_core::{commit_group, GroupTxnResult, TxnHandle};
 use pushpull_tm::driver::{ParallelSystem, SystemStats, Tick, TmSystem, Worker};
-use pushpull_tm::util::pull_committed_lenient;
 
 use crate::proto::{SessionId, TxnResponse};
 use crate::session::{assign_sessions, SessionEnd, SessionScript};
@@ -504,11 +503,11 @@ fn tick_worker<S: SeqSpec>(
     // Refresh denied slots' committed views only now, after the whole
     // stage: every retrying transaction observes the same committed
     // prefix regardless of whether its peers committed through one batch
-    // or one at a time (PULL is local to the handle — no transport, no
-    // shard lock).
+    // or one at a time (PULL bypasses the transport: one read of the
+    // committed entries under the shard locks, then handle-local work).
     for k in needs_pull {
         if matches!(w.slots[k], Slot::Busy(_)) {
-            pull_committed_lenient(&mut handles[k])?;
+            handles[k].pull_committed(true)?;
         }
     }
 

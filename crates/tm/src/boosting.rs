@@ -32,7 +32,7 @@ use crate::contention::{
     WaitVerdict,
 };
 use crate::driver::{ParallelSystem, SystemStats, Tick, TmSystem, Worker};
-use crate::util::{is_conflict, pull_committed_lenient};
+use crate::util::is_conflict;
 
 /// A transactional-boosting system over any [`ConflictKeyed`]
 /// specification.
@@ -197,7 +197,7 @@ fn tick_thread<S: ConflictKeyed>(
     }
     // Implicit PULL: refresh the committed shared view (the paper's
     // "the local view is the same as the shared view").
-    pull_committed_lenient(h)?;
+    h.pull_committed(true)?;
     // APP, then immediately PUSH.
     let method = method.clone();
     let op: OpId = match h.app_method(&method) {

@@ -27,7 +27,7 @@ use crate::contention::{
     WaitVerdict,
 };
 use crate::driver::{ParallelSystem, SystemStats, Tick, TmSystem, Worker};
-use crate::util::{is_conflict, pull_committed_lenient};
+use crate::util::is_conflict;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Phase {
@@ -151,7 +151,7 @@ fn tick_thread<S: SeqSpec>(
         Gate::Run => {}
     }
     if t.phase == Phase::Begin {
-        pull_committed_lenient(h)?;
+        h.pull_committed(true)?;
         t.phase = Phase::Running;
         return Ok(Tick::Progress);
     }
@@ -171,7 +171,7 @@ fn tick_thread<S: SeqSpec>(
                     Some(idx) => {
                         let salvaged = idx as u64;
                         h.abort_to_checkpoint(idx)?;
-                        pull_committed_lenient(h)?;
+                        h.pull_committed(true)?;
                         t.partial_rewinds += 1;
                         t.ops_salvaged += salvaged;
                         Ok(Tick::Progress)
@@ -214,7 +214,7 @@ fn tick_thread<S: SeqSpec>(
             // invalidated operations.
             let salvaged = idx as u64;
             h.abort_to_checkpoint(idx)?;
-            pull_committed_lenient(h)?;
+            h.pull_committed(true)?;
             gov.on_progress();
             t.partial_rewinds += 1;
             t.ops_salvaged += salvaged;

@@ -26,7 +26,7 @@ use crate::contention::{
     default_manager, ContentionManager, ContentionState, Gate, Governor, StarvationReport,
 };
 use crate::driver::{ParallelSystem, SystemStats, Tick, TmSystem, Worker};
-use crate::util::{is_conflict, pull_committed_lenient};
+use crate::util::is_conflict;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Phase {
@@ -121,7 +121,7 @@ fn tick_thread(
         Gate::Run => {}
     }
     if t.phase == Phase::Begin {
-        pull_committed_lenient(h)?;
+        h.pull_committed(true)?;
         t.phase = Phase::Running;
         return Ok(Tick::Progress);
     }

@@ -23,7 +23,7 @@ use crate::contention::{
     default_manager, ContentionManager, ContentionState, Gate, Governor, StarvationReport,
 };
 use crate::driver::{ParallelSystem, SystemStats, Tick, TmSystem, Worker};
-use crate::util::{is_conflict, pull_committed_lenient};
+use crate::util::is_conflict;
 
 /// Per-thread phase.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -95,7 +95,7 @@ fn tick_irrevocable<S: SeqSpec>(
     gov: &mut Governor,
 ) -> Result<Tick, MachineError> {
     if t.phase == Phase::Begin {
-        pull_committed_lenient(h)?;
+        h.pull_committed(true)?;
         t.phase = Phase::Running;
         return Ok(Tick::Progress);
     }
@@ -119,7 +119,7 @@ fn tick_irrevocable<S: SeqSpec>(
         };
     }
     // Refresh committed view, then APP;PUSH eagerly.
-    pull_committed_lenient(h)?;
+    h.pull_committed(true)?;
     let method = options[0].0.clone();
     let op = match h.app_method(&method) {
         Ok(op) => op,
@@ -156,7 +156,7 @@ fn tick_optimistic<S: SeqSpec>(
     gov: &mut Governor,
 ) -> Result<Tick, MachineError> {
     if t.phase == Phase::Begin {
-        pull_committed_lenient(h)?;
+        h.pull_committed(true)?;
         t.phase = Phase::Running;
         return Ok(Tick::Progress);
     }

@@ -36,7 +36,7 @@ use crate::contention::{
     WaitVerdict,
 };
 use crate::driver::{ParallelSystem, SystemStats, Tick, TmSystem, Worker};
-use crate::util::{is_conflict, pull_committed_lenient};
+use crate::util::is_conflict;
 
 /// The §7 composite specification: `((skiplist, hashT), (size, memory))`.
 pub type MixedSpec = Product<Product<SetSpec, KvMap>, Product<Counter, RwMem>>;
@@ -293,7 +293,7 @@ fn tick_boosted(
             LockOutcome::WouldDeadlock { .. } => return full_abort(shared, h, t, gov),
         }
     }
-    pull_committed_lenient(h)?;
+    h.pull_committed(true)?;
     let op: OpId = match h.app_method(&method) {
         Ok(op) => op,
         Err(MachineError::NoAllowedResult(_)) => return full_abort(shared, h, t, gov),
@@ -343,7 +343,7 @@ fn tick_htm(
             return partial_htm_abort(shared, h, t, gov);
         }
     }
-    pull_committed_lenient(h)?;
+    h.pull_committed(true)?;
     match h.app_method(&method) {
         Ok(_) => {
             gov.on_progress();
@@ -373,7 +373,7 @@ fn tick_thread(
         Gate::Run => {}
     }
     if t.phase == Phase::Begin {
-        pull_committed_lenient(h)?;
+        h.pull_committed(true)?;
         t.phase = Phase::Running;
         return Ok(Tick::Progress);
     }

@@ -29,7 +29,7 @@ use crate::contention::{
     default_manager, ContentionManager, ContentionState, Gate, Governor, StarvationReport,
 };
 use crate::driver::{ParallelSystem, SystemStats, Tick, TmSystem, Worker};
-use crate::util::{is_conflict, pull_committed_lenient};
+use crate::util::is_conflict;
 
 /// Read-validation flavour of the optimistic system.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -142,7 +142,7 @@ fn tick_thread<S: SeqSpec>(
     }
     if t.phase == Phase::Begin {
         // Begin-time snapshot: PULL all committed operations.
-        pull_committed_lenient(h)?;
+        h.pull_committed(true)?;
         t.phase = Phase::Running;
         return Ok(Tick::Progress);
     }
@@ -167,7 +167,7 @@ fn tick_thread<S: SeqSpec>(
         };
     }
     if policy == ReadPolicy::Refresh {
-        pull_committed_lenient(h)?;
+        h.pull_committed(true)?;
     }
     // Resolve program nondeterminism by taking the LAST step option —
     // `(method, continuation)` as a pair, since the same method name

@@ -26,7 +26,7 @@ use crate::contention::{
     default_manager, ContentionManager, ContentionState, Gate, Governor, StarvationReport,
 };
 use crate::driver::{ParallelSystem, SystemStats, Tick, TmSystem, Worker};
-use crate::util::{is_conflict, pull_committed_lenient};
+use crate::util::is_conflict;
 
 /// A Matveev–Shavit-style pessimistic system.
 ///
@@ -104,7 +104,7 @@ fn tick_thread<S: SeqSpec>(
     }
     if !t.started {
         // Reads PULL committed effects only.
-        pull_committed_lenient(h)?;
+        h.pull_committed(true)?;
         t.started = true;
         return Ok(Tick::Progress);
     }

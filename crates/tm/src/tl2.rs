@@ -31,7 +31,7 @@ use crate::contention::{
     default_manager, ContentionManager, ContentionState, Gate, Governor, StarvationReport,
 };
 use crate::driver::{ParallelSystem, SystemStats, Tick, TmSystem, Worker};
-use crate::util::{is_conflict, pull_committed_lenient};
+use crate::util::is_conflict;
 
 #[derive(Debug, Clone, Default)]
 struct Tl2Txn {
@@ -134,7 +134,7 @@ fn tick_thread(
     if !t.txn.started {
         // Begin: rv := GV; snapshot the committed state.
         t.txn.rv = shared.clock.now();
-        pull_committed_lenient(h)?;
+        h.pull_committed(true)?;
         t.txn.started = true;
         return Ok(Tick::Progress);
     }

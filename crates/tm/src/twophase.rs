@@ -28,7 +28,7 @@ use crate::contention::{
     WaitVerdict,
 };
 use crate::driver::{ParallelSystem, SystemStats, Tick, TmSystem, Worker};
-use crate::util::{is_conflict, pull_committed_lenient};
+use crate::util::is_conflict;
 
 /// A strict two-phase-locking system over [`RwMem`].
 ///
@@ -150,7 +150,7 @@ fn tick_thread(
         RwOutcome::WouldDeadlock => return abort_thread(locks, h, t, gov),
     }
     // Lock held: refresh committed view, then APP;PUSH eagerly.
-    pull_committed_lenient(h)?;
+    h.pull_committed(true)?;
     let op = match h.app_method(&method) {
         Ok(op) => op,
         Err(MachineError::NoAllowedResult(_)) => return abort_thread(locks, h, t, gov),

@@ -1,88 +1,9 @@
 //! Small helpers shared by the algorithm drivers.
 
 use pushpull_core::error::MachineError;
-use pushpull_core::log::GlobalFlag;
-use pushpull_core::op::OpId;
-use pushpull_core::spec::SeqSpec;
-use pushpull_core::TxnHandle;
-
-/// Pulls every *committed* global operation not yet in the thread's local
-/// log, in global-log order, skipping (rather than failing on) operations
-/// whose PULL criteria do not hold — the lenient snapshot refresh drivers
-/// perform before applying an operation.
-///
-/// A skipped operation leaves the local view behind the shared view; any
-/// resulting inconsistency surfaces later as a PUSH criterion (iii)
-/// failure, which the drivers treat as a conflict. Returns the number of
-/// operations pulled.
-///
-/// Takes the thread's own [`TxnHandle`], so concurrent workers can refresh
-/// their snapshots without serializing through the whole machine:
-/// committed entries never leave the shared log, so the candidate list
-/// stays valid even while other threads push and commit.
-///
-/// # Errors
-///
-/// Propagates only structural errors; criterion failures are skipped by
-/// design.
-pub fn pull_committed_lenient<S: SeqSpec>(h: &mut TxnHandle<S>) -> Result<usize, MachineError> {
-    let candidates: Vec<OpId> = h
-        .global_snapshot()
-        .iter()
-        .filter(|e| e.flag == GlobalFlag::Committed && !h.local().contains_id(e.op.id))
-        .map(|e| e.op.id)
-        .collect();
-    let mut pulled = 0;
-    for id in candidates {
-        match h.pull(id) {
-            Ok(()) => pulled += 1,
-            Err(MachineError::Criterion(_)) => {}
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(pulled)
-}
 
 /// Is this error a criterion violation (an expected conflict, from a
 /// driver's point of view)?
 pub fn is_conflict(e: &MachineError) -> bool {
     e.is_criterion()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use pushpull_core::lang::Code;
-    use pushpull_core::machine::Machine;
-    use pushpull_core::toy::{CounterMethod, ToyCounter};
-
-    #[test]
-    fn lenient_pull_skips_conflicting_ops() {
-        let mut m = Machine::new(ToyCounter::with_bound(4));
-        let a = m.add_thread(vec![Code::method(CounterMethod::Inc)]);
-        let b = m.add_thread(vec![Code::method(CounterMethod::Get)]);
-        // a commits enough incs to exceed what b's local log can absorb…
-        // actually: make b's local log conflict by giving it a stale get.
-        let ia = m.app_auto(a).unwrap();
-        m.push(a, ia).unwrap();
-        m.commit(a).unwrap();
-        // b observes get()=0 against its empty local view (stale).
-        m.app_auto(b).unwrap();
-        // Pulling a's committed inc now violates PULL (iii): b's get(=0)
-        // does not move right of inc. Lenient pull skips it.
-        let pulled = pull_committed_lenient(m.handle_mut(b).unwrap()).unwrap();
-        assert_eq!(pulled, 0);
-    }
-
-    #[test]
-    fn lenient_pull_takes_everything_when_clean() {
-        let mut m = Machine::new(ToyCounter::with_bound(4));
-        let a = m.add_thread(vec![Code::method(CounterMethod::Inc)]);
-        let b = m.add_thread(vec![Code::method(CounterMethod::Get)]);
-        let ia = m.app_auto(a).unwrap();
-        m.push(a, ia).unwrap();
-        m.commit(a).unwrap();
-        let pulled = pull_committed_lenient(m.handle_mut(b).unwrap()).unwrap();
-        assert_eq!(pulled, 1);
-    }
 }
