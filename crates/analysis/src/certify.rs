@@ -2,7 +2,7 @@
 //! spec declarations.
 //!
 //! [`certify`] derives, from nothing but a spec's denotational semantics
-//! (via [`crate::infer`]), the ground-truth method-level mover matrix and
+//! (via [`crate::infer()`]), the ground-truth method-level mover matrix and
 //! the minimal sound footprint assignment, then cross-checks every
 //! hand-written [`method_mover`](SeqSpec::method_mover) and
 //! [`method_keys`](SeqSpec::method_keys) override — plus the two

@@ -23,9 +23,9 @@
 //!    PULL cycles, and checks driver-declared rule patterns;
 //! 5. [`diagnostics`] renders it all rustc-style.
 //!
-//! Independently of the per-workload pipeline, [`certify`] infers the
+//! Independently of the per-workload pipeline, [`certify()`] infers the
 //! ground-truth mover matrix and minimal sound footprint cover for any
-//! spec with finite universes ([`infer`]), cross-checks every
+//! spec with finite universes ([`infer()`]), cross-checks every
 //! hand-written `method_mover`/`method_keys` declaration and the two
 //! footprint laws against it, and packages the result as a
 //! [`SpecCertificate`](pushpull_core::SpecCertificate) — which

@@ -14,6 +14,7 @@ use pushpull_harness::workload::WorkloadSpec;
 use pushpull_spec::kvmap::KvMap;
 use pushpull_spec::rwmem::RwMem;
 use pushpull_tm::boosting::BoostingSystem;
+use pushpull_tm::driver::TmSystem;
 use pushpull_tm::htm::HtmSystem;
 use pushpull_tm::optimistic::{OptimisticSystem, ReadPolicy};
 use pushpull_tm::pessimistic::MatveevShavitSystem;
@@ -38,14 +39,14 @@ fn bench_algorithms(c: &mut Criterion) {
     group.bench_function(BenchmarkId::new("boosting", "map-contended"), |b| {
         b.iter(|| {
             let mut sys = BoostingSystem::new(KvMap::new(), w.kvmap_programs());
-            drive(&mut sys, 1, |s| s.stats())
+            drive(&mut sys, 1)
         })
     });
     group.bench_function(BenchmarkId::new("optimistic", "map-contended"), |b| {
         b.iter(|| {
             let mut sys =
                 OptimisticSystem::new(KvMap::new(), w.kvmap_programs(), ReadPolicy::Snapshot);
-            drive(&mut sys, 1, |s| s.stats())
+            drive(&mut sys, 1)
         })
     });
 
@@ -53,7 +54,7 @@ fn bench_algorithms(c: &mut Criterion) {
     group.bench_function(BenchmarkId::new("boosting", "map-disjoint"), |b| {
         b.iter(|| {
             let mut sys = BoostingSystem::new(KvMap::new(), w.kvmap_disjoint_programs());
-            drive(&mut sys, 1, |s| s.stats())
+            drive(&mut sys, 1)
         })
     });
     group.bench_function(BenchmarkId::new("optimistic", "map-disjoint"), |b| {
@@ -63,7 +64,7 @@ fn bench_algorithms(c: &mut Criterion) {
                 w.kvmap_disjoint_programs(),
                 ReadPolicy::Snapshot,
             );
-            drive(&mut sys, 1, |s| s.stats())
+            drive(&mut sys, 1)
         })
     });
 
@@ -77,19 +78,19 @@ fn bench_algorithms(c: &mut Criterion) {
         b.iter(|| {
             let mut sys =
                 OptimisticSystem::new(RwMem::new(), rm.rwmem_programs(), ReadPolicy::Snapshot);
-            drive(&mut sys, 1, |s| s.stats())
+            drive(&mut sys, 1)
         })
     });
     group.bench_function(BenchmarkId::new("pessimistic-ms", "mem-read-mostly"), |b| {
         b.iter(|| {
             let mut sys = MatveevShavitSystem::new(RwMem::new(), rm.rwmem_programs());
-            drive(&mut sys, 1, |s| s.stats())
+            drive(&mut sys, 1)
         })
     });
     group.bench_function(BenchmarkId::new("htm-sim", "mem-read-mostly"), |b| {
         b.iter(|| {
             let mut sys = HtmSystem::new(rm.rwmem_programs());
-            drive(&mut sys, 1, |s| s.stats())
+            drive(&mut sys, 1)
         })
     });
     group.finish();
@@ -99,19 +100,19 @@ fn bench_algorithms(c: &mut Criterion) {
     let w = base();
     {
         let mut sys = BoostingSystem::new(KvMap::new(), w.kvmap_programs());
-        let (s, t) = drive(&mut sys, 1, |s| s.stats());
+        let (s, t) = drive(&mut sys, 1);
         assert_serializable(sys.machine());
         print_row("boosting / map-contended", s, t);
     }
     {
         let mut sys = OptimisticSystem::new(KvMap::new(), w.kvmap_programs(), ReadPolicy::Snapshot);
-        let (s, t) = drive(&mut sys, 1, |s| s.stats());
+        let (s, t) = drive(&mut sys, 1);
         assert_serializable(sys.machine());
         print_row("optimistic / map-contended", s, t);
     }
     {
         let mut sys = BoostingSystem::new(KvMap::new(), w.kvmap_disjoint_programs());
-        let (s, t) = drive(&mut sys, 1, |s| s.stats());
+        let (s, t) = drive(&mut sys, 1);
         assert_serializable(sys.machine());
         assert_eq!(s.aborts, 0, "boosting on disjoint keys must never abort");
         print_row("boosting / map-disjoint", s, t);
@@ -122,7 +123,7 @@ fn bench_algorithms(c: &mut Criterion) {
             w.kvmap_disjoint_programs(),
             ReadPolicy::Snapshot,
         );
-        let (s, t) = drive(&mut sys, 1, |s| s.stats());
+        let (s, t) = drive(&mut sys, 1);
         assert_serializable(sys.machine());
         print_row("optimistic / map-disjoint", s, t);
     }
@@ -134,19 +135,19 @@ fn bench_algorithms(c: &mut Criterion) {
     {
         let mut sys =
             OptimisticSystem::new(RwMem::new(), rm.rwmem_programs(), ReadPolicy::Snapshot);
-        let (s, t) = drive(&mut sys, 1, |s| s.stats());
+        let (s, t) = drive(&mut sys, 1);
         assert_serializable(sys.machine());
         print_row("optimistic / mem-read-mostly", s, t);
     }
     {
         let mut sys = MatveevShavitSystem::new(RwMem::new(), rm.rwmem_programs());
-        let (s, t) = drive(&mut sys, 1, |s| s.stats());
+        let (s, t) = drive(&mut sys, 1);
         assert_serializable(sys.machine());
         print_row("pessimistic-ms / mem-read-mostly", s, t);
     }
     {
         let mut sys = HtmSystem::new(rm.rwmem_programs());
-        let (s, t) = drive(&mut sys, 1, |s| s.stats());
+        let (s, t) = drive(&mut sys, 1);
         assert_serializable(sys.machine());
         print_row("htm-sim / mem-read-mostly", s, t);
     }

@@ -18,6 +18,7 @@ use pushpull_spec::counter::CtrMethod;
 use pushpull_spec::kvmap::MapMethod;
 use pushpull_spec::rwmem::{Loc, MemMethod};
 use pushpull_spec::set::SetMethod;
+use pushpull_tm::driver::TmSystem;
 use pushpull_tm::htm::HtmSystem;
 use pushpull_tm::mixed::{methods, mixed_spec, MixedMethod, MixedSystem};
 
@@ -70,14 +71,14 @@ fn bench_mixed(c: &mut Criterion) {
             b.iter(|| {
                 let progs = (0..threads as u64).map(|t| mixed_prog(t, 4)).collect();
                 let mut sys = MixedSystem::new(mixed_spec(), progs);
-                drive(&mut sys, 9, |s| s.stats())
+                drive(&mut sys, 9)
             })
         });
         group.bench_function(BenchmarkId::new("all-htm", threads), |b| {
             b.iter(|| {
                 let progs = (0..threads as u64).map(|t| all_htm_prog(t, 4)).collect();
                 let mut sys = HtmSystem::new(progs);
-                drive(&mut sys, 9, |s| s.stats())
+                drive(&mut sys, 9)
             })
         });
     }
@@ -87,13 +88,13 @@ fn bench_mixed(c: &mut Criterion) {
     for threads in [1usize, 2, 4] {
         let progs = (0..threads as u64).map(|t| mixed_prog(t, 4)).collect();
         let mut sys = MixedSystem::new(mixed_spec(), progs);
-        let (s, t) = drive(&mut sys, 9, |s| s.stats());
+        let (s, t) = drive(&mut sys, 9);
         assert_serializable(sys.machine());
         print_row(&format!("mixed boosting+HTM / {threads}T"), s, t);
 
         let progs = (0..threads as u64).map(|t| all_htm_prog(t, 4)).collect();
         let mut sys = HtmSystem::new(progs);
-        let (s, t) = drive(&mut sys, 9, |s| s.stats());
+        let (s, t) = drive(&mut sys, 9);
         assert_serializable(sys.machine());
         print_row(&format!("all-HTM encoding    / {threads}T"), s, t);
     }

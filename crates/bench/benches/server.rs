@@ -31,6 +31,7 @@ use pushpull_harness::testutil::assert_ledger_matches;
 use pushpull_harness::{run, run_parallel, LatencyHistogram, RoundRobin};
 use pushpull_server::{ServerConfig, SessionScript, TxnServer};
 use pushpull_spec::kvmap::{KvMap, MapMethod};
+use pushpull_tm::driver::TmSystem;
 
 const WORKERS: usize = 4;
 const SLOTS: usize = 16;
@@ -153,6 +154,7 @@ fn bench_server(c: &mut Criterion) {
         for batched in [true, false] {
             let sys = run_deterministic(scripts.clone(), batched, arrival);
             let s = sys.stats();
+            let g = sys.machine().group_stats();
             let lat = latencies(&sys);
             eprintln!(
                 "{name:<18} {:<6} commits={:<4} aborts={:<5} locks={:<5} batches={:<4} \
@@ -161,8 +163,8 @@ fn bench_server(c: &mut Criterion) {
                 s.commits,
                 s.aborts,
                 s.lock_acquires,
-                s.group_batches,
-                s.group_locks_saved,
+                g.batches,
+                g.locks_saved,
                 s.lock_acquires as f64 / s.commits.max(1) as f64,
             );
         }

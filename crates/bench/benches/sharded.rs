@@ -31,6 +31,7 @@ use pushpull_bench::{assert_serializable, criterion_group, criterion_main};
 
 use pushpull_core::lang::Code;
 use pushpull_core::machine::Machine;
+use pushpull_core::Metric;
 use pushpull_harness::testutil::assert_ledger_matches;
 use pushpull_spec::rwmem::{Loc, MemMethod, RwMem};
 
@@ -139,7 +140,8 @@ fn bench_sharded(c: &mut Criterion) {
     for disjoint in [true, false] {
         for shards in [1usize, 4, 16] {
             let m = run_once(shards, disjoint);
-            let (acq, cont) = m.lock_stats();
+            let acq = m.metrics()[Metric::LockAcquires];
+            let cont = m.metrics()[Metric::LockContended];
             eprintln!(
                 "{} / {shards:>2} shards  commits={:<4} lock-acquires={acq:<7} contended={cont}",
                 if disjoint { "disjoint " } else { "contended" },

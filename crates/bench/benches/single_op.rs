@@ -27,6 +27,7 @@ use pushpull_bench::{criterion_group, criterion_main};
 use pushpull_core::lang::Code;
 use pushpull_core::machine::Machine;
 use pushpull_core::op::{OpId, ThreadId};
+use pushpull_core::Metric;
 use pushpull_spec::rwmem::{Loc, MemMethod, RwMem};
 
 /// Counts allocation events (not bytes freed) so the table can report
@@ -105,13 +106,15 @@ fn bench_single_op(c: &mut Criterion) {
     // 1. The read-only disjoint criteria check takes ZERO mutex
     //    acquisitions — the tentpole property of the seqlock fast path.
     let (m, reader, op) = readonly_machine(16);
-    let (acq_before, _) = m.lock_stats();
-    let (reads_before, _, fb_before) = m.seqlock_stats();
+    let acq_before = m.metrics()[Metric::LockAcquires];
+    let reads_before = m.metrics()[Metric::SnapReads];
+    let fb_before = m.metrics()[Metric::SnapFallbacks];
     for _ in 0..1_000 {
         assert!(m.can_push(reader, op).expect("well-formed"));
     }
-    let (acq_after, _) = m.lock_stats();
-    let (reads_after, _, fb_after) = m.seqlock_stats();
+    let acq_after = m.metrics()[Metric::LockAcquires];
+    let reads_after = m.metrics()[Metric::SnapReads];
+    let fb_after = m.metrics()[Metric::SnapFallbacks];
     assert_eq!(
         acq_after, acq_before,
         "B10 regression: read-only disjoint criteria check took a mutex"
@@ -124,7 +127,7 @@ fn bench_single_op(c: &mut Criterion) {
     for _ in 0..100 {
         cycle(&mut m, t);
     }
-    let (_, _, reused) = m.arena_stats();
+    let reused = m.metrics()[Metric::ArenaReused];
     assert!(
         reused >= 99,
         "UNPUSH-freed slots must be recycled, got {reused}"
@@ -151,9 +154,13 @@ fn bench_single_op(c: &mut Criterion) {
             cycle(&mut m, t); // warm up: arena slots + footprint storage
         }
         let cyc = allocs_per(10_000, || cycle(&mut m, t));
-        let (live, cap, reused) = m.arena_stats();
-        let (acq, _) = m.lock_stats();
-        let (reads, retries, fb) = m.seqlock_stats();
+        let live = m.metrics()[Metric::ArenaLive];
+        let cap = m.metrics()[Metric::ArenaCapacity];
+        let reused = m.metrics()[Metric::ArenaReused];
+        let acq = m.metrics()[Metric::LockAcquires];
+        let reads = m.metrics()[Metric::SnapReads];
+        let retries = m.metrics()[Metric::SnapRetries];
+        let fb = m.metrics()[Metric::SnapFallbacks];
 
         let (rm, reader, op) = readonly_machine(shards);
         let chk = allocs_per(10_000, || {

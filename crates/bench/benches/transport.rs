@@ -36,6 +36,7 @@ use pushpull_core::faults::{FaultHook, TransportFault};
 use pushpull_core::lang::Code;
 use pushpull_core::machine::Machine;
 use pushpull_core::op::ThreadId;
+use pushpull_core::Metric;
 use pushpull_core::{FallbackMode, TransportConfig};
 use pushpull_harness::testutil::assert_ledger_matches;
 use pushpull_spec::rwmem::{Loc, MemMethod, RwMem};
@@ -191,17 +192,17 @@ fn bench_transport(c: &mut Criterion) {
         } else {
             run_once(None, pct)
         };
-        let t = m.transport_stats();
+        let t = m.metrics();
         eprintln!(
             "{} / drop {:>3}bp  commits={:<4} requests={:<7} retries={:<5} timeouts={:<5} degr={} rec={}",
             label_of(channel),
             pct,
             m.committed_txns().len(),
-            t.requests,
-            t.retries,
-            t.timeouts,
-            t.degradations,
-            t.recoveries,
+            t[Metric::TransportRequests],
+            t[Metric::TransportRetries],
+            t[Metric::TransportTimeouts],
+            t[Metric::TransportDegradations],
+            t[Metric::TransportRecoveries],
         );
     }
 }

@@ -30,14 +30,10 @@ use pushpull_tm::driver::{SystemStats, TmSystem};
 
 /// Drives a system to completion with a seeded random scheduler,
 /// panicking on rule misuse or non-termination. Returns (stats, ticks).
-pub fn drive<T: TmSystem>(
-    sys: &mut T,
-    seed: u64,
-    stats: impl Fn(&T) -> SystemStats,
-) -> (SystemStats, usize) {
+pub fn drive<T: TmSystem>(sys: &mut T, seed: u64) -> (SystemStats, usize) {
     let out = run(sys, &mut RandomSched::new(seed), 50_000_000).expect("rule misuse");
     assert!(out.completed, "system did not terminate");
-    (stats(sys), out.ticks)
+    (sys.stats(), out.ticks)
 }
 
 /// Asserts the serializability oracle on a finished system's machine —

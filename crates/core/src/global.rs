@@ -6,7 +6,7 @@
 //! ## The footprint-sharded log
 //!
 //! `G` is partitioned into `N` *footprint-addressed shards*, each a
-//! [`ShardLog`] behind its own [`Mutex`]: a segment of the global log
+//! `ShardLog` behind its own [`Mutex`]: a segment of the global log
 //! (its own `gUCmt`/`gCmt` entries), a parallel vector of *commit-sequence
 //! stamps*, and its own committed-prefix denotation cache. An operation is
 //! routed to shard `key % N` by [`SeqSpec::method_keys`], the declared
@@ -27,7 +27,7 @@
 //!
 //! ## Routing and the sticky coarse fallback
 //!
-//! [`GlobalState::route`] maps a method to a [`Route`]:
+//! `GlobalState::route` maps a method to a `Route`:
 //!
 //! * With one shard (the default), *everything* routes to shard 0 before
 //!   `method_keys` is even consulted — bit-identical to the historical
@@ -35,7 +35,7 @@
 //!   included.
 //! * With `N > 1` shards, a method declaring exactly one footprint key
 //!   `k` routes to shard `k % N`; a method with no declared footprint
-//!   (or a multi-key footprint) routes [`Route::Coarse`].
+//!   (or a multi-key footprint) routes `Route::Coarse`.
 //!
 //! The first coarse-routed operation sets a *sticky* flag: from then on
 //! every criteria evaluation acquires **all** shard locks in ascending
@@ -70,7 +70,7 @@
 //!
 //! Every PUSH evaluates `G allows op` and every UNPUSH evaluates
 //! `allowed (G ∖ op)`; replaying the whole log makes a run of `n`
-//! operations O(n²) in spec transitions. Each shard's [`PrefixCache`]
+//! operations O(n²) in spec transitions. Each shard's `PrefixCache`
 //! memoizes the denotation `⟦G_i[..len]⟧` of the longest *fully
 //! committed* prefix of that shard's segment. Because the denotation is
 //! compositional (`⟦ℓ⟧ = denote_from(⟦ℓ[..k]⟧, ℓ[k..])` for any split
@@ -96,7 +96,7 @@
 //! ## The lock-free snapshot path (seqlock prefix reads)
 //!
 //! On top of the mutex ladder, every shard *publishes* an immutable
-//! [`ShardSnap`] — its committed-prefix denotation, its uncommitted
+//! `ShardSnap` — its committed-prefix denotation, its uncommitted
 //! suffix and a monotonically increasing per-shard `version` — into a
 //! [`SnapCell`] whenever it mutates (append, removal, commit flip). A
 //! routed PUSH evaluates its shared criteria (ii)/(iii) against that
@@ -137,11 +137,12 @@ use crate::faults::{FaultHook, FaultKind};
 use crate::lang::Code;
 use crate::log::{GlobalEntry, GlobalFlag, GlobalLog, LocalLog};
 use crate::machine::CheckMode;
+use crate::metrics::{Metric, MetricBlock, MetricsSnapshot};
 use crate::op::{Op, OpId, OpIdGen, ThreadId, TxnId};
 use crate::snapcell::SnapCell;
 use crate::spec::SeqSpec;
 use crate::static_facts::StaticDischarge;
-use crate::transport::{ShardTransport, TransportStats};
+use crate::transport::ShardTransport;
 
 /// How a committed transaction relates to the nesting structure of the
 /// thread that ran it — the per-level tag the nested serializability
@@ -411,22 +412,13 @@ impl<S: SeqSpec> ShardLog<S> {
     fn suffix_entries(&self) -> Vec<GlobalEntry<S::Method, S::Ret>> {
         self.iter_from(self.cache.len).cloned().collect()
     }
-
-    /// `(live, capacity, reused)` of this shard's arena.
-    fn arena_stats(&self) -> (u64, u64, u64) {
-        (
-            self.arena.live() as u64,
-            self.arena.capacity() as u64,
-            self.arena.reused(),
-        )
-    }
 }
 
-/// Counters of the per-shard group-commit path (see
-/// [`crate::group`]): how many batches were sealed, how many
-/// transactions rode them, how the batch sizes distribute, and how many
-/// shard-lock acquisitions the batching amortized away compared to the
-/// per-transaction path.
+/// The group-commit view of a [`MetricsSnapshot`] (the `core.group.*`
+/// metrics of the per-shard group-commit path, see [`crate::group`]):
+/// how many batches were sealed, how many transactions rode them, how
+/// the batch sizes distribute, and how many shard-lock acquisitions the
+/// batching amortized away compared to the per-transaction path.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GroupStats {
     /// Batches executed under a single shard-lock acquisition.
@@ -447,167 +439,16 @@ pub struct GroupStats {
     pub size_hist: [u64; 8],
 }
 
-impl GroupStats {
-    /// The histogram bucket a batch of `n` transactions lands in.
-    pub fn bucket(n: u64) -> usize {
-        match n {
-            0 | 1 => 0,
-            2 => 1,
-            3..=4 => 2,
-            5..=8 => 3,
-            9..=16 => 4,
-            17..=32 => 5,
-            33..=64 => 6,
-            _ => 7,
-        }
-    }
-
-    /// Upper bound (inclusive) of histogram bucket `i`, for rendering.
-    pub fn bucket_label(i: usize) -> &'static str {
-        ["1", "2", "3-4", "5-8", "9-16", "17-32", "33-64", "65+"][i.min(7)]
-    }
-}
-
-/// The atomic backing of [`GroupStats`], one field per counter so the
-/// batch path updates without any extra lock.
-#[derive(Debug)]
-pub(crate) struct GroupCounters {
-    batches: AtomicU64,
-    batched_txns: AtomicU64,
-    batched_ops: AtomicU64,
-    locks_saved: AtomicU64,
-    size_hist: [AtomicU64; 8],
-}
-
-impl GroupCounters {
-    pub(crate) fn new() -> Self {
-        Self {
-            batches: AtomicU64::new(0),
-            batched_txns: AtomicU64::new(0),
-            batched_ops: AtomicU64::new(0),
-            locks_saved: AtomicU64::new(0),
-            size_hist: std::array::from_fn(|_| AtomicU64::new(0)),
-        }
-    }
-
-    /// A copy carrying over another set's current values (resharding and
-    /// deep clones preserve counters, like the transport tallies).
-    pub(crate) fn carried_over(&self) -> Self {
-        let copy = Self::new();
-        copy.batches
-            .store(self.batches.load(Ordering::Relaxed), Ordering::Relaxed);
-        copy.batched_txns
-            .store(self.batched_txns.load(Ordering::Relaxed), Ordering::Relaxed);
-        copy.batched_ops
-            .store(self.batched_ops.load(Ordering::Relaxed), Ordering::Relaxed);
-        copy.locks_saved
-            .store(self.locks_saved.load(Ordering::Relaxed), Ordering::Relaxed);
-        for (dst, src) in copy.size_hist.iter().zip(&self.size_hist) {
-            dst.store(src.load(Ordering::Relaxed), Ordering::Relaxed);
-        }
-        copy
-    }
-
-    pub(crate) fn snapshot(&self) -> GroupStats {
+impl From<&MetricsSnapshot> for GroupStats {
+    /// The group-commit view of a registry snapshot.
+    fn from(m: &MetricsSnapshot) -> Self {
         GroupStats {
-            batches: self.batches.load(Ordering::Relaxed),
-            batched_txns: self.batched_txns.load(Ordering::Relaxed),
-            batched_ops: self.batched_ops.load(Ordering::Relaxed),
-            locks_saved: self.locks_saved.load(Ordering::Relaxed),
-            size_hist: std::array::from_fn(|i| self.size_hist[i].load(Ordering::Relaxed)),
+            batches: m[Metric::GroupBatches],
+            batched_txns: m[Metric::GroupBatchedTxns],
+            batched_ops: m[Metric::GroupBatchedOps],
+            locks_saved: m[Metric::GroupLocksSaved],
+            size_hist: Metric::GROUP_SIZES.map(|b| m[b]),
         }
-    }
-
-    /// Records one sealed batch of `txns` committed transactions and
-    /// `ops` appended operations under a single lock acquisition.
-    pub(crate) fn note_batch(&self, txns: u64, ops: u64) {
-        self.batches.fetch_add(1, Ordering::Relaxed);
-        self.batched_txns.fetch_add(txns, Ordering::Relaxed);
-        self.batched_ops.fetch_add(ops, Ordering::Relaxed);
-        // Per-transaction cost of the same work: one acquisition per
-        // appended op (PUSH) plus one per transaction (CMT); the batch
-        // paid exactly one.
-        self.locks_saved
-            .fetch_add((ops + txns).saturating_sub(1), Ordering::Relaxed);
-        self.size_hist[GroupStats::bucket(txns)].fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-/// The atomic backing of [`crate::scope::NestingStats`], one field per
-/// counter so scope-heavy handles update without any extra lock (same
-/// pattern as [`GroupCounters`]).
-#[derive(Debug)]
-pub(crate) struct NestingCounters {
-    scopes_opened: AtomicU64,
-    scopes_merged: AtomicU64,
-    scopes_aborted: AtomicU64,
-    open_commits: AtomicU64,
-    compensations_replayed: AtomicU64,
-    undo_inverses: AtomicU64,
-}
-
-impl NestingCounters {
-    pub(crate) fn new() -> Self {
-        Self {
-            scopes_opened: AtomicU64::new(0),
-            scopes_merged: AtomicU64::new(0),
-            scopes_aborted: AtomicU64::new(0),
-            open_commits: AtomicU64::new(0),
-            compensations_replayed: AtomicU64::new(0),
-            undo_inverses: AtomicU64::new(0),
-        }
-    }
-
-    /// A copy carrying over another set's current values (resharding and
-    /// deep clones preserve counters, like the group tallies).
-    pub(crate) fn carried_over(&self) -> Self {
-        let copy = Self::new();
-        for (dst, src) in [
-            (&copy.scopes_opened, &self.scopes_opened),
-            (&copy.scopes_merged, &self.scopes_merged),
-            (&copy.scopes_aborted, &self.scopes_aborted),
-            (&copy.open_commits, &self.open_commits),
-            (&copy.compensations_replayed, &self.compensations_replayed),
-            (&copy.undo_inverses, &self.undo_inverses),
-        ] {
-            dst.store(src.load(Ordering::Relaxed), Ordering::Relaxed);
-        }
-        copy
-    }
-
-    pub(crate) fn snapshot(&self) -> crate::scope::NestingStats {
-        crate::scope::NestingStats {
-            scopes_opened: self.scopes_opened.load(Ordering::Relaxed),
-            scopes_merged: self.scopes_merged.load(Ordering::Relaxed),
-            scopes_aborted: self.scopes_aborted.load(Ordering::Relaxed),
-            open_commits: self.open_commits.load(Ordering::Relaxed),
-            compensations_replayed: self.compensations_replayed.load(Ordering::Relaxed),
-            undo_inverses: self.undo_inverses.load(Ordering::Relaxed),
-        }
-    }
-
-    pub(crate) fn note_opened(&self) {
-        self.scopes_opened.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn note_merged(&self) {
-        self.scopes_merged.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn note_aborted(&self) {
-        self.scopes_aborted.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn note_open_commit(&self) {
-        self.open_commits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn note_compensation(&self) {
-        self.compensations_replayed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn note_undo_inverses(&self, n: u64) {
-        self.undo_inverses.fetch_add(n, Ordering::Relaxed);
     }
 }
 
@@ -789,20 +630,12 @@ pub struct GlobalState<S: SeqSpec> {
     /// path. Published on every shard mutation (unless coarse mode is
     /// on); read optimistically by routed PUSH and `can_push`.
     snaps: Vec<SnapCell<ShardSnap<S>>>,
-    /// Optimistic snapshot reads that produced a verdict without
-    /// taking any lock.
-    snap_reads: AtomicU64,
-    /// Seqlock validation retries burned across all snapshot reads.
-    snap_retries: AtomicU64,
-    /// Snapshot reads that gave up (cell unpublished, contended past the
-    /// retry budget, or stale at revalidation) and fell back to the
-    /// mutex path.
-    snap_fallbacks: AtomicU64,
-    /// Per-shard lock-acquisition tallies (observability, not audit).
-    lock_acquires: Vec<AtomicU64>,
-    /// Per-shard contended-acquisition tallies: acquisitions that found
-    /// the lock already held and had to wait.
-    lock_contended: Vec<AtomicU64>,
+    /// Machine-wide metric slots (transport, group commit, nesting).
+    /// They survive resharding.
+    metrics: MetricBlock,
+    /// Per-shard metric slots (lock and snapshot tallies), one block per
+    /// shard. They restart with every new shard layout.
+    shard_metrics: Vec<MetricBlock>,
     /// The fault-injection hook, if armed. The flag short-circuits the
     /// rule hot paths to a single relaxed load when no hook is set.
     faults: RwLock<Option<Arc<dyn FaultHook>>>,
@@ -823,12 +656,6 @@ pub struct GlobalState<S: SeqSpec> {
     /// envelope and its operations run on the coarse coordinator path
     /// until a probe succeeds. Always all-`false` without a transport.
     transport_degraded: Vec<AtomicBool>,
-    /// Transport envelope counters (see [`TransportStats`]).
-    t_requests: AtomicU64,
-    t_retries: AtomicU64,
-    t_timeouts: AtomicU64,
-    t_degradations: AtomicU64,
-    t_recoveries: AtomicU64,
     /// The installed spec certificate, if the analysis certified this
     /// spec's footprint/mover declarations (see [`SpecCertificate`]).
     certificate: RwLock<Option<Arc<SpecCertificate>>>,
@@ -841,10 +668,6 @@ pub struct GlobalState<S: SeqSpec> {
     /// Human-readable records of every arming request the certificate
     /// gate refused or demoted (drained by [`Self::arming_diagnostics`]).
     arming_diags: Mutex<Vec<String>>,
-    /// Group-commit batch counters (see [`GroupStats`]).
-    group: GroupCounters,
-    /// Nested-scope traffic counters (see [`crate::scope::NestingStats`]).
-    nesting: NestingCounters,
 }
 
 impl<S: SeqSpec> GlobalState<S> {
@@ -875,11 +698,8 @@ impl<S: SeqSpec> GlobalState<S> {
             push_stamp: AtomicU64::new(0),
             coarse: AtomicBool::new(false),
             snaps: (0..n).map(|_| SnapCell::new()).collect(),
-            snap_reads: AtomicU64::new(0),
-            snap_retries: AtomicU64::new(0),
-            snap_fallbacks: AtomicU64::new(0),
-            lock_acquires: (0..n).map(|_| AtomicU64::new(0)).collect(),
-            lock_contended: (0..n).map(|_| AtomicU64::new(0)).collect(),
+            metrics: MetricBlock::new(),
+            shard_metrics: (0..n).map(|_| MetricBlock::new()).collect(),
             faults: RwLock::new(None),
             faults_armed: AtomicBool::new(false),
             static_facts: RwLock::new(None),
@@ -887,16 +707,9 @@ impl<S: SeqSpec> GlobalState<S> {
             transport: RwLock::new(None),
             transport_armed: AtomicBool::new(false),
             transport_degraded: (0..n).map(|_| AtomicBool::new(false)).collect(),
-            t_requests: AtomicU64::new(0),
-            t_retries: AtomicU64::new(0),
-            t_timeouts: AtomicU64::new(0),
-            t_degradations: AtomicU64::new(0),
-            t_recoveries: AtomicU64::new(0),
             certificate: RwLock::new(None),
             require_certificate: AtomicBool::new(false),
             arming_diags: Mutex::new(Vec::new()),
-            group: GroupCounters::new(),
-            nesting: NestingCounters::new(),
         };
         state.publish_all_shards();
         state
@@ -923,57 +736,42 @@ impl<S: SeqSpec> GlobalState<S> {
         self.coarse.load(Ordering::SeqCst)
     }
 
-    /// Total `(lock acquisitions, contended acquisitions)` across all
-    /// shard locks.
-    pub fn lock_stats(&self) -> (u64, u64) {
-        let a = self
-            .lock_acquires
-            .iter()
-            .map(|c| c.load(Ordering::Relaxed))
-            .sum();
-        let c = self
-            .lock_contended
-            .iter()
-            .map(|c| c.load(Ordering::Relaxed))
-            .sum();
-        (a, c)
-    }
-
-    /// Per-shard `(lock acquisitions, contended acquisitions)`.
-    pub fn lock_stats_per_shard(&self) -> Vec<(u64, u64)> {
-        self.lock_acquires
-            .iter()
-            .zip(&self.lock_contended)
-            .map(|(a, c)| (a.load(Ordering::Relaxed), c.load(Ordering::Relaxed)))
-            .collect()
-    }
-
-    /// Seqlock snapshot counters: `(reads, retries, fallbacks)`.
-    /// `reads` are optimistic criteria evaluations that needed no lock,
-    /// `retries` the validation races burned, `fallbacks` the reads that
-    /// gave up and took the mutex ladder instead.
-    pub fn seqlock_stats(&self) -> (u64, u64, u64) {
-        (
-            self.snap_reads.load(Ordering::Relaxed),
-            self.snap_retries.load(Ordering::Relaxed),
-            self.snap_fallbacks.load(Ordering::Relaxed),
-        )
-    }
-
-    /// Arena occupancy summed over all shards:
-    /// `(live entries, slot capacity, cumulative slot reuses)`. Takes
-    /// each shard lock briefly, without perturbing the lock counters
+    /// Every metric at this instant: the machine-wide slots plus the sum
+    /// of [`Self::shard_metrics`] over all shards. Takes each shard lock
+    /// briefly to sample its arena, without tallying the acquisition
     /// (this is a reporting path, not a rule).
-    pub fn arena_stats(&self) -> (u64, u64, u64) {
-        let mut totals = (0, 0, 0);
-        for m in &self.shards {
-            let sh = m.lock().expect("shard log mutex poisoned");
-            let (l, c, r) = sh.arena_stats();
-            totals.0 += l;
-            totals.1 += c;
-            totals.2 += r;
-        }
-        totals
+    pub fn metrics(&self) -> MetricsSnapshot {
+        (0..self.shards.len())
+            .map(|i| self.shard_metrics(i))
+            .fold(self.metrics.snapshot(), std::ops::Add::add)
+    }
+
+    /// Shard `shard`'s own metrics: its lock and snapshot tallies and
+    /// its arena occupancy; every machine-wide slot is zero.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `shard` is not below [`Self::shard_count`].
+    pub fn shard_metrics(&self, shard: usize) -> MetricsSnapshot {
+        let mut m = self.shard_metrics[shard].snapshot();
+        let sh = self.shards[shard].lock().expect("shard log mutex poisoned");
+        m[Metric::ArenaLive] = sh.arena.live() as u64;
+        m[Metric::ArenaCapacity] = sh.arena.capacity() as u64;
+        m[Metric::ArenaReused] = sh.arena.reused();
+        m
+    }
+
+    /// Adds `by` to the machine-wide slot of `metric`. Transport
+    /// implementations call this once per logical request
+    /// ([`Metric::TransportRequests`]) and per failed or repeated
+    /// delivery attempt.
+    pub fn count(&self, metric: Metric, by: u64) {
+        self.metrics.add(metric, by);
+    }
+
+    /// Adds `by` to shard `shard`'s slot of `metric`.
+    fn count_shard(&self, shard: usize, metric: Metric, by: u64) {
+        self.shard_metrics[shard].add(metric, by);
     }
 
     /// Publishes shard `idx`'s current snapshot (no-op in coarse mode:
@@ -1011,25 +809,25 @@ impl<S: SeqSpec> GlobalState<S> {
     ) -> Option<R> {
         let out = self.snaps[idx].read(SNAP_RETRIES, f);
         if out.retries > 0 {
-            self.snap_retries.fetch_add(out.retries, Ordering::Relaxed);
+            self.count_shard(idx, Metric::SnapRetries, out.retries);
         }
         match out.value {
             Some(v) => {
-                self.snap_reads.fetch_add(1, Ordering::Relaxed);
+                self.count_shard(idx, Metric::SnapReads, 1);
                 Some(v)
             }
             None => {
-                self.snap_fallbacks.fetch_add(1, Ordering::Relaxed);
+                self.note_snap_fallback(idx);
                 None
             }
         }
     }
 
-    /// Tallies a fallback discovered *after* a successful snapshot read
-    /// (the under-lock version revalidation failed, so the speculated
-    /// verdict was discarded and the mutex path re-ran).
-    pub(crate) fn note_snap_fallback(&self) {
-        self.snap_fallbacks.fetch_add(1, Ordering::Relaxed);
+    /// Tallies a snapshot read on shard `idx` whose verdict was
+    /// discarded for the mutex path — including one discovered *after* a
+    /// successful read (the under-lock version revalidation failed).
+    pub(crate) fn note_snap_fallback(&self, idx: usize) {
+        self.count_shard(idx, Metric::SnapFallbacks, 1);
     }
 
     /// Is the incremental `allowed` path enabled — the shard prefix
@@ -1250,36 +1048,6 @@ impl<S: SeqSpec> GlobalState<S> {
         self.transport().map(|t| t.name())
     }
 
-    /// A snapshot of the transport envelope counters. All-zero when no
-    /// transport was ever installed.
-    pub fn transport_stats(&self) -> TransportStats {
-        TransportStats {
-            requests: self.t_requests.load(Ordering::Relaxed),
-            retries: self.t_retries.load(Ordering::Relaxed),
-            timeouts: self.t_timeouts.load(Ordering::Relaxed),
-            degradations: self.t_degradations.load(Ordering::Relaxed),
-            recoveries: self.t_recoveries.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Tallies one logical transport request (a call or a probe).
-    /// Transport implementations call this once per logical request,
-    /// not per delivery attempt.
-    pub fn note_transport_request(&self) {
-        self.t_requests.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Tallies one transport re-delivery attempt.
-    pub fn note_transport_retry(&self) {
-        self.t_retries.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Tallies one failed delivery attempt (deadline missed or message
-    /// lost — injected faults included).
-    pub fn note_transport_timeout(&self) {
-        self.t_timeouts.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Is `shard` currently degraded to the coarse coordinator path?
     pub(crate) fn is_transport_degraded(&self, shard: usize) -> bool {
         self.transport_degraded[shard].load(Ordering::Acquire)
@@ -1292,7 +1060,7 @@ impl<S: SeqSpec> GlobalState<S> {
             .compare_exchange(false, true, Ordering::AcqRel, Ordering::Acquire)
             .is_ok()
         {
-            self.t_degradations.fetch_add(1, Ordering::Relaxed);
+            self.count(Metric::TransportDegradations, 1);
         }
     }
 
@@ -1303,7 +1071,7 @@ impl<S: SeqSpec> GlobalState<S> {
             .compare_exchange(true, false, Ordering::AcqRel, Ordering::Acquire)
             .is_ok()
         {
-            self.t_recoveries.fetch_add(1, Ordering::Relaxed);
+            self.count(Metric::TransportRecoveries, 1);
         }
     }
 
@@ -1373,11 +1141,11 @@ impl<S: SeqSpec> GlobalState<S> {
     /// Locks shard `i`, tallying the acquisition (and whether it had to
     /// wait) in the per-shard lock counters.
     fn lock_shard(&self, i: usize) -> MutexGuard<'_, ShardLog<S>> {
-        self.lock_acquires[i].fetch_add(1, Ordering::Relaxed);
+        self.count_shard(i, Metric::LockAcquires, 1);
         match self.shards[i].try_lock() {
             Ok(guard) => guard,
             Err(TryLockError::WouldBlock) => {
-                self.lock_contended[i].fetch_add(1, Ordering::Relaxed);
+                self.count_shard(i, Metric::LockContended, 1);
                 self.shards[i].lock().expect("shard log mutex poisoned")
             }
             Err(TryLockError::Poisoned(_)) => panic!("shard log mutex poisoned"),
@@ -1492,26 +1260,6 @@ impl<S: SeqSpec> GlobalState<S> {
     /// shard's strictly-increasing stamp order.
     pub(crate) fn reserve_stamps(&self, n: u64) -> u64 {
         self.push_stamp.fetch_add(n, Ordering::Relaxed)
-    }
-
-    /// A snapshot of the group-commit batch counters.
-    pub fn group_stats(&self) -> GroupStats {
-        self.group.snapshot()
-    }
-
-    /// Records one sealed group-commit batch (see [`GroupCounters`]).
-    pub(crate) fn note_group_batch(&self, txns: u64, ops: u64) {
-        self.group.note_batch(txns, ops);
-    }
-
-    /// A snapshot of the nested-scope traffic counters.
-    pub fn nesting_stats(&self) -> crate::scope::NestingStats {
-        self.nesting.snapshot()
-    }
-
-    /// The atomic nesting counters, for handles to tally into.
-    pub(crate) fn nesting_counters(&self) -> &NestingCounters {
-        &self.nesting
     }
 
     /// Removes the entry `id` from the held shard at `view index` (the
@@ -1749,11 +1497,8 @@ impl<S: SeqSpec> GlobalState<S> {
             push_stamp: AtomicU64::new(self.push_stamp.load(Ordering::Relaxed)),
             coarse: AtomicBool::new(coarse),
             snaps: (0..n).map(|_| SnapCell::new()).collect(),
-            snap_reads: AtomicU64::new(0),
-            snap_retries: AtomicU64::new(0),
-            snap_fallbacks: AtomicU64::new(0),
-            lock_acquires: (0..n).map(|_| AtomicU64::new(0)).collect(),
-            lock_contended: (0..n).map(|_| AtomicU64::new(0)).collect(),
+            metrics: self.metrics.clone(),
+            shard_metrics: (0..n).map(|_| MetricBlock::new()).collect(),
             faults: RwLock::new(self.fault_hook()),
             faults_armed: AtomicBool::new(self.faults_armed.load(Ordering::Acquire)),
             static_facts: RwLock::new(self.static_discharge()),
@@ -1761,20 +1506,13 @@ impl<S: SeqSpec> GlobalState<S> {
             // The transport detaches on resharding: it is bound to the
             // old state's shard layout (server threads, degraded marks).
             // `Machine::set_log_shards` documents that a transport must
-            // be re-installed after resharding. Counters carry over.
+            // be re-installed after resharding.
             transport: RwLock::new(None),
             transport_armed: AtomicBool::new(false),
             transport_degraded: (0..n).map(|_| AtomicBool::new(false)).collect(),
-            t_requests: AtomicU64::new(self.t_requests.load(Ordering::Relaxed)),
-            t_retries: AtomicU64::new(self.t_retries.load(Ordering::Relaxed)),
-            t_timeouts: AtomicU64::new(self.t_timeouts.load(Ordering::Relaxed)),
-            t_degradations: AtomicU64::new(self.t_degradations.load(Ordering::Relaxed)),
-            t_recoveries: AtomicU64::new(self.t_recoveries.load(Ordering::Relaxed)),
             certificate: RwLock::new(self.certificate()),
             require_certificate: AtomicBool::new(self.require_certificate.load(Ordering::SeqCst)),
             arming_diags: Mutex::new(self.arming_diagnostics()),
-            group: self.group.carried_over(),
-            nesting: self.nesting.carried_over(),
         };
         state.publish_all_shards();
         state
@@ -1802,19 +1540,8 @@ impl<S: SeqSpec> GlobalState<S> {
             push_stamp: AtomicU64::new(self.push_stamp.load(Ordering::Relaxed)),
             coarse: AtomicBool::new(self.coarse.load(Ordering::SeqCst)),
             snaps: (0..self.shards.len()).map(|_| SnapCell::new()).collect(),
-            snap_reads: AtomicU64::new(self.snap_reads.load(Ordering::Relaxed)),
-            snap_retries: AtomicU64::new(self.snap_retries.load(Ordering::Relaxed)),
-            snap_fallbacks: AtomicU64::new(self.snap_fallbacks.load(Ordering::Relaxed)),
-            lock_acquires: self
-                .lock_acquires
-                .iter()
-                .map(|c| AtomicU64::new(c.load(Ordering::Relaxed)))
-                .collect(),
-            lock_contended: self
-                .lock_contended
-                .iter()
-                .map(|c| AtomicU64::new(c.load(Ordering::Relaxed)))
-                .collect(),
+            metrics: self.metrics.clone(),
+            shard_metrics: self.shard_metrics.clone(),
             faults: RwLock::new(self.fault_hook()),
             faults_armed: AtomicBool::new(self.faults_armed.load(Ordering::Acquire)),
             static_facts: RwLock::new(self.static_discharge()),
@@ -1822,7 +1549,7 @@ impl<S: SeqSpec> GlobalState<S> {
             // The transport holds a `Weak` back-reference to *its*
             // global state, so a deep clone cannot share it: the clone
             // starts transport-less (the caller re-installs one if it
-            // wants the seam). Counter values are copied.
+            // wants the seam).
             transport: RwLock::new(None),
             transport_armed: AtomicBool::new(false),
             transport_degraded: self
@@ -1830,16 +1557,9 @@ impl<S: SeqSpec> GlobalState<S> {
                 .iter()
                 .map(|d| AtomicBool::new(d.load(Ordering::Acquire)))
                 .collect(),
-            t_requests: AtomicU64::new(self.t_requests.load(Ordering::Relaxed)),
-            t_retries: AtomicU64::new(self.t_retries.load(Ordering::Relaxed)),
-            t_timeouts: AtomicU64::new(self.t_timeouts.load(Ordering::Relaxed)),
-            t_degradations: AtomicU64::new(self.t_degradations.load(Ordering::Relaxed)),
-            t_recoveries: AtomicU64::new(self.t_recoveries.load(Ordering::Relaxed)),
             certificate: RwLock::new(self.certificate()),
             require_certificate: AtomicBool::new(self.require_certificate.load(Ordering::SeqCst)),
             arming_diags: Mutex::new(self.arming_diagnostics()),
-            group: self.group.carried_over(),
-            nesting: self.nesting.carried_over(),
         };
         state.publish_all_shards();
         state

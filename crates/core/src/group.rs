@@ -9,7 +9,7 @@
 //! acquisition per PUSH (minting one stamp under the lock) plus one per
 //! CMT. The batch path acquires the destination shard's lock once,
 //! reserves a contiguous stamp block of the batch's total op count
-//! ([`GlobalState::reserve_stamps`] — *after* acquiring the lock, so
+//! (`GlobalState::reserve_stamps` — *after* acquiring the lock, so
 //! every stamp already in the shard is strictly below the block's base),
 //! and then replays the transactions **one at a time, in batch order**,
 //! inside the held view: each transaction runs its full PUSH criteria
@@ -25,14 +25,14 @@
 //! lock round-trips, never reorders criteria against effects.
 //!
 //! A transaction denied mid-batch is aborted *inside the held view*
-//! ([`TxnHandle::batch_abort_in_view`]) with the same tail-first rewind
+//! (`TxnHandle::batch_abort_in_view`) with the same tail-first rewind
 //! the per-transaction path performs, so its partial appends never leak
 //! into the next batched transaction's criteria. Stamps it consumed are
 //! simply skipped — stamp gaps are already routine (UNPUSH leaves them)
 //! and only relative stamp order matters for replay.
 //!
 //! Eligibility is conservative: every operation of the transaction must
-//! route [`Route::Single`] to one common shard, coarse mode must be off
+//! route `Route::Single` to one common shard, coarse mode must be off
 //! and no transport installed ([`TxnHandle::group_route`]); everything
 //! else falls back to the unchanged per-transaction path.
 
@@ -42,6 +42,7 @@ use std::sync::Arc;
 use crate::error::MachineError;
 use crate::global::Route;
 use crate::handle::{BatchTally, TxnHandle};
+use crate::metrics::Metric;
 use crate::op::{ThreadId, TxnId};
 use crate::spec::SeqSpec;
 
@@ -200,7 +201,19 @@ pub fn commit_group<S: SeqSpec>(handles: &mut [&mut TxnHandle<S>]) -> GroupOutco
         // over its locally tracked tallies in debug builds.
         tally.assert_closed();
         if committed_here > 0 {
-            first.note_group_batch(committed_here, ops_here);
+            // The per-transaction path pays one acquisition per
+            // appended op (PUSH) plus one per transaction (CMT); the
+            // batch paid exactly one.
+            let saved = (ops_here + committed_here).saturating_sub(1);
+            for (metric, by) in [
+                (Metric::GroupBatches, 1),
+                (Metric::GroupBatchedTxns, committed_here),
+                (Metric::GroupBatchedOps, ops_here),
+                (Metric::GroupLocksSaved, saved),
+                (Metric::group_size(committed_here), 1),
+            ] {
+                first.count(metric, by);
+            }
             out.batches += 1;
             out.batched_txns += committed_here;
         }

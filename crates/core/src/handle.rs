@@ -35,6 +35,7 @@ use crate::global::{CommittedTxn, GlobalState, LogView, Route, TxnKind};
 use crate::lang::Code;
 use crate::log::{GlobalEntry, GlobalFlag, GlobalLog, LocalEntry, LocalFlag, LocalLog};
 use crate::machine::{CheckMode, StepOptions};
+use crate::metrics::Metric;
 use crate::op::{Op, OpId, ThreadId, TxnId};
 use crate::scope::{Compensation, ScopeFrame, ScopeKind, ScopeOrigin};
 use crate::spec::{OpInverse, SeqSpec};
@@ -627,7 +628,7 @@ impl<S: SeqSpec> TxnHandle<S> {
             stack_len: self.stack.len(),
             txn,
         });
-        self.global.nesting_counters().note_opened();
+        self.global.count(Metric::ScopesOpened, 1);
         Ok(base)
     }
 
@@ -785,7 +786,7 @@ impl<S: SeqSpec> TxnHandle<S> {
                 c.depth = depth;
             }
         }
-        self.global.nesting_counters().note_merged();
+        self.global.count(Metric::ScopesMerged, 1);
     }
 
     /// Commits the innermost (open) frame's suffix to `G` as an
@@ -962,8 +963,7 @@ impl<S: SeqSpec> TxnHandle<S> {
             }
         }
         self.global
-            .nesting_counters()
-            .note_undo_inverses(inverses.len() as u64);
+            .count(Metric::UndoInverses, inverses.len() as u64);
         self.comps.push(Compensation {
             undoes: child,
             depth,
@@ -973,7 +973,7 @@ impl<S: SeqSpec> TxnHandle<S> {
         if !peeled {
             self.explicit_open = true;
         }
-        self.global.nesting_counters().note_open_commit();
+        self.global.count(Metric::OpenCommits, 1);
         Ok(())
     }
 
@@ -1035,7 +1035,7 @@ impl<S: SeqSpec> TxnHandle<S> {
                 c => Code::seq(scoped, c),
             });
         }
-        self.global.nesting_counters().note_aborted();
+        self.global.count(Metric::ScopesAborted, 1);
     }
 
     /// Pops every remaining frame whose base position was rewound away
@@ -1136,7 +1136,7 @@ impl<S: SeqSpec> TxnHandle<S> {
             ops: flipped,
         });
         self.commits += 1;
-        self.global.nesting_counters().note_compensation();
+        self.global.count(Metric::Compensations, 1);
         Ok(())
     }
 
@@ -1446,7 +1446,7 @@ impl<S: SeqSpec> TxnHandle<S> {
                     // The shard mutated (or the coarse flag flipped)
                     // between snapshot and lock: discard the speculated
                     // verdict with its buffered tallies and re-run.
-                    self.global.note_snap_fallback();
+                    self.global.note_snap_fallback(route.target());
                     false
                 }
                 (None, _) => false,
@@ -1551,7 +1551,7 @@ impl<S: SeqSpec> TxnHandle<S> {
             // Snapshot read but a criterion failed against it: discard
             // the buffered tallies and send the caller to the lock.
             Some(None) => {
-                global.note_snap_fallback();
+                global.note_snap_fallback(shard_idx);
                 None
             }
             Some(Some((version, movers))) => Some(SnapVerdict {
@@ -1782,7 +1782,7 @@ impl<S: SeqSpec> TxnHandle<S> {
                 // callers give up on a PUSH that would succeed.
                 match verdict {
                     Some(true) => return Ok(true),
-                    Some(false) => self.global.note_snap_fallback(),
+                    Some(false) => self.global.note_snap_fallback(i),
                     None => {}
                 }
             }
@@ -2306,8 +2306,7 @@ impl<S: SeqSpec> TxnHandle<S> {
         }
         inverses.reverse();
         self.global
-            .nesting_counters()
-            .note_undo_inverses(inverses.len() as u64);
+            .count(Metric::UndoInverses, inverses.len() as u64);
         Ok(inverses)
     }
 

@@ -76,6 +76,7 @@ pub mod invariants;
 pub mod lang;
 pub mod log;
 pub mod machine;
+pub mod metrics;
 pub mod op;
 pub mod opacity;
 pub mod precongruence;
@@ -101,8 +102,9 @@ pub use handle::TxnHandle;
 pub use lang::Code;
 pub use log::{GlobalFlag, GlobalLog, LocalFlag, LocalLog};
 pub use machine::{CheckMode, Machine};
+pub use metrics::{Metric, MetricKind, MetricsSnapshot};
 pub use op::{Op, OpId, ThreadId, TxnId};
-pub use scope::{NestingStats, ScopeKind};
+pub use scope::ScopeKind;
 pub use smallvec::SmallVec;
 pub use snapcell::SnapCell;
 pub use spec::{KeySet, OpInverse, SeqSpec};
@@ -110,5 +112,5 @@ pub use static_facts::{RulePattern, StaticDischarge};
 pub use trace::{Event, Trace};
 pub use transport::{
     ChannelTransport, FallbackMode, LocalTransport, RetryBackoff, SeededBackoff, ShardTransport,
-    TransportConfig, TransportError, TransportStats,
+    TransportConfig, TransportError,
 };

@@ -209,17 +209,30 @@ impl<S: SeqSpec> Machine<S> {
         self.global.transport_name()
     }
 
-    /// A snapshot of the transport envelope counters (requests, retries,
-    /// timeouts, degradations, recoveries). All-zero without a transport.
-    pub fn transport_stats(&self) -> crate::transport::TransportStats {
-        self.global.transport_stats()
+    /// Every machine counter at this instant — shard locks, the seqlock
+    /// path, arena occupancy, transport, group commit, nested scopes; see
+    /// [`GlobalState::metrics`].
+    pub fn metrics(&self) -> crate::metrics::MetricsSnapshot {
+        self.global.metrics()
     }
 
-    /// A snapshot of the group-commit batch counters (batches sealed,
-    /// transactions/operations batched, lock acquisitions saved, batch
-    /// size histogram). All-zero until [`Self::commit_group`] runs.
+    /// Shard `shard`'s own lock, snapshot and arena metrics (the
+    /// watchdog's per-shard breakdown); see
+    /// [`GlobalState::shard_metrics`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `shard` is not below [`Self::log_shards`].
+    pub fn shard_metrics(&self, shard: usize) -> crate::metrics::MetricsSnapshot {
+        self.global.shard_metrics(shard)
+    }
+
+    /// The group-commit view of [`Self::metrics`]: batches sealed,
+    /// transactions and operations batched, lock acquisitions saved, and
+    /// the batch-size histogram. All-zero until [`Self::commit_group`]
+    /// runs.
     pub fn group_stats(&self) -> crate::global::GroupStats {
-        self.global.group_stats()
+        (&self.metrics()).into()
     }
 
     /// Commits the commit-ready transactions of `tids` through the
@@ -274,34 +287,6 @@ impl<S: SeqSpec> Machine<S> {
         self.global.shard_count()
     }
 
-    /// Total `(lock acquisitions, contended acquisitions)` across the
-    /// shard locks — the observability counters behind B9.
-    pub fn lock_stats(&self) -> (u64, u64) {
-        self.global.lock_stats()
-    }
-
-    /// Per-shard `(lock acquisitions, contended acquisitions)`, indexed
-    /// by shard — the deterministic per-shard breakdown the watchdog
-    /// dumps.
-    pub fn lock_stats_per_shard(&self) -> Vec<(u64, u64)> {
-        self.global.lock_stats_per_shard()
-    }
-
-    /// Seqlock-path counters `(snapshot reads, validation retries,
-    /// fallbacks)` — the observability behind the lock-free criteria
-    /// path (B10). Reads are criteria evaluations that took zero locks;
-    /// fallbacks took the mutex ladder (unpublished cell, reader
-    /// contention, or a stale speculation).
-    pub fn seqlock_stats(&self) -> (u64, u64, u64) {
-        self.global.seqlock_stats()
-    }
-
-    /// Arena occupancy over all shards: `(live entries, slot capacity,
-    /// cumulative slot reuses)`.
-    pub fn arena_stats(&self) -> (u64, u64, u64) {
-        self.global.arena_stats()
-    }
-
     /// Read-only, unaudited "would PUSH accept this op right now?" —
     /// zero locks on the declared-footprint fast path. See
     /// [`TxnHandle::can_push`].
@@ -319,7 +304,11 @@ impl<S: SeqSpec> Machine<S> {
     ///
     /// An installed shard transport **detaches** (it is bound to the old
     /// layout's server set and degraded marks); re-install one after
-    /// resharding if the seam is wanted. Transport counters carry over.
+    /// resharding if the seam is wanted.
+    ///
+    /// The per-shard metrics (lock and snapshot tallies) restart with the
+    /// new layout; every machine-wide metric (transport, group commit,
+    /// nesting) carries over.
     ///
     /// Under strict certificate mode
     /// ([`Machine::set_require_certificate`]) a shard count above one
@@ -638,12 +627,6 @@ impl<S: SeqSpec> Machine<S> {
     /// fate).
     pub fn pending_compensations(&self, tid: ThreadId) -> MachineResult<usize> {
         Ok(self.thread(tid)?.pending_compensations())
-    }
-
-    /// Machine-wide nesting counters: scope traffic, open-nested commits,
-    /// compensations replayed, undo inverses derived.
-    pub fn nesting_stats(&self) -> crate::scope::NestingStats {
-        self.global.nesting_stats()
     }
 }
 

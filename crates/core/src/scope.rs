@@ -2,7 +2,7 @@
 //! nesting", and the Börger–Schewe multi-level transaction control
 //! model).
 //!
-//! A [`crate::handle::TxnHandle`] carries a stack of [`ScopeFrame`]s
+//! A [`crate::handle::TxnHandle`] carries a stack of `ScopeFrame`s
 //! over its *flat* local log `L`: frame `k` owns the log suffix starting
 //! at its `base_len`. Keeping `L` flat is what makes closed nesting
 //! observationally free — every PUSH/PULL/CMT criterion evaluates the
@@ -17,7 +17,7 @@
 //!   mechanism, now shared with `CheckpointOptimistic`.
 //! * An **open** scope commits *straight to `G`* as an independent
 //!   transaction (PUSH + CMT of its suffix under its own [`TxnId`]) and
-//!   registers a [`Compensation`] — the inverse program derived from the
+//!   registers a `Compensation` — the inverse program derived from the
 //!   spec's [`crate::spec::SeqSpec::inverse`] oracle — in the enclosing
 //!   scope's compensation set. If the enclosing transaction later
 //!   aborts, the handle replays the registered compensations in reverse
@@ -116,25 +116,4 @@ impl<S: SeqSpec> Clone for Compensation<S> {
             ops: self.ops.clone(),
         }
     }
-}
-
-/// A snapshot of the machine-wide nesting counters (see
-/// [`crate::machine::Machine::nesting_stats`]): scope traffic and
-/// compensation activity, flowing through `SystemStats` → sweeps →
-/// watchdog like the lock/seqlock/arena/transport tallies.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NestingStats {
-    /// Scopes entered (peeled, explicit, and checkpoint markers).
-    pub scopes_opened: u64,
-    /// Closed scopes merged into their parent on commit.
-    pub scopes_merged: u64,
-    /// Scopes aborted (their suffix rewound without killing the parent).
-    pub scopes_aborted: u64,
-    /// Open-nested children committed straight to `G`.
-    pub open_commits: u64,
-    /// Compensating transactions replayed by aborting parents.
-    pub compensations_replayed: u64,
-    /// Inverse operations derived by the undo oracle on abort paths
-    /// (boosting's undo-log accounting and compensation planning).
-    pub undo_inverses: u64,
 }

@@ -7,7 +7,7 @@
 //!
 //! A routed single-shard PUSH or UNPUSH is, logically, a *request*: "run
 //! these criteria against your segment of `G` and, if they pass, apply
-//! the effect". [`execute_on_shard`] is that request's executor — the
+//! the effect". `execute_on_shard` is that request's executor — the
 //! same audited criteria code the historical locked path ran, factored
 //! out of [`TxnHandle`](crate::handle::TxnHandle) so that *who* runs it
 //! becomes a deployment choice:
@@ -65,8 +65,8 @@
 //! is unreachable too" — the call surfaces a clean
 //! [`MachineError::TransportExhausted`] that drivers propagate, so
 //! `run_parallel` stops the run instead of spinning. Both transitions
-//! are counted ([`TransportStats::degradations`] /
-//! [`TransportStats::recoveries`]) and appear in the watchdog dump.
+//! are counted ([`Metric::TransportDegradations`] /
+//! [`Metric::TransportRecoveries`]) and appear in the watchdog dump.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -77,6 +77,7 @@ use std::time::Duration;
 use crate::error::{MachineError, MachineResult};
 use crate::faults::TransportFault;
 use crate::global::{GlobalState, LogView, Route};
+use crate::metrics::Metric;
 use crate::op::{Op, OpId, ThreadId, TxnId};
 use crate::spec::SeqSpec;
 
@@ -198,25 +199,6 @@ impl Default for TransportConfig {
     }
 }
 
-/// Counters of the transport envelope, shared by both transports and
-/// surfaced through `SystemStats` and the watchdog dump.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TransportStats {
-    /// Logical requests issued (calls and probes; retries of one call
-    /// count once here).
-    pub requests: u64,
-    /// Re-delivery attempts after a failed one.
-    pub retries: u64,
-    /// Delivery attempts that timed out or were lost (simulated faults
-    /// included).
-    pub timeouts: u64,
-    /// Fast-path → degraded transitions (a shard exhausted its budget).
-    pub degradations: u64,
-    /// Degraded → fast-path transitions (a probe found the shard
-    /// reachable again).
-    pub recoveries: u64,
-}
-
 /// A shared-rule critical section shipped to a shard as a request.
 ///
 /// Only the single-shard *mutating* sections cross the transport;
@@ -312,7 +294,7 @@ pub enum ShardResponse {
 
 /// Where shard critical sections execute. Implementations must be
 /// deterministic relays: the criteria themselves always run via
-/// [`execute_on_shard`], so any two transports agree bit-for-bit on
+/// `execute_on_shard`, so any two transports agree bit-for-bit on
 /// verdicts, audit tallies and stamps.
 pub trait ShardTransport<S: SeqSpec>: fmt::Debug + Send + Sync {
     /// Short name for stats and the watchdog dump.
@@ -559,12 +541,12 @@ impl<S: SeqSpec> ShardTransport<S> for LocalTransport {
         shard: usize,
         req: ShardRequest<S>,
     ) -> Result<ShardResponse, TransportError> {
-        global.note_transport_request();
+        global.count(Metric::TransportRequests, 1);
         Ok(execute_on_shard(global, shard, &req))
     }
 
     fn probe(&self, global: &GlobalState<S>, _tid: ThreadId, _shard: usize) -> bool {
-        global.note_transport_request();
+        global.count(Metric::TransportRequests, 1);
         true
     }
 }
@@ -798,7 +780,7 @@ where
         shard: usize,
         req: ShardRequest<S>,
     ) -> Result<ShardResponse, TransportError> {
-        global.note_transport_request();
+        global.count(Metric::TransportRequests, 1);
         let id = self.next_req.fetch_add(1, Ordering::Relaxed);
         let mut attempt: u32 = 0;
         loop {
@@ -839,14 +821,14 @@ where
             match outcome {
                 Some(resp) => return Ok(resp),
                 None => {
-                    global.note_transport_timeout();
+                    global.count(Metric::TransportTimeouts, 1);
                     if attempt >= self.config.max_retries {
                         return Err(TransportError::Exhausted {
                             attempts: attempt + 1,
                         });
                     }
                     attempt += 1;
-                    global.note_transport_retry();
+                    global.count(Metric::TransportRetries, 1);
                     let ticks = self
                         .config
                         .backoff
@@ -861,7 +843,7 @@ where
     }
 
     fn probe(&self, global: &GlobalState<S>, tid: ThreadId, shard: usize) -> bool {
-        global.note_transport_request();
+        global.count(Metric::TransportRequests, 1);
         let fault = global
             .fault_hook()
             .and_then(|h| h.transport_fault(tid, shard));
@@ -870,7 +852,7 @@ where
             if matches!(f, TransportFault::CrashServer) {
                 self.crash_server(shard);
             }
-            global.note_transport_timeout();
+            global.count(Metric::TransportTimeouts, 1);
             return false;
         }
         let id = self.next_req.fetch_add(1, Ordering::Relaxed);
@@ -878,7 +860,7 @@ where
             Some(ShardResponse::Pong) => true,
             Some(_) => false,
             None => {
-                global.note_transport_timeout();
+                global.count(Metric::TransportTimeouts, 1);
                 false
             }
         }
@@ -924,10 +906,14 @@ mod tests {
         let op = m.app_auto(t).unwrap();
         m.push(t, op).unwrap();
         m.commit(t).unwrap();
-        let stats = m.transport_stats();
-        assert_eq!(stats.requests, 1, "one PUSH crossed the transport");
-        assert_eq!(stats.timeouts, 0);
-        assert_eq!(stats.degradations, 0);
+        let stats = m.metrics();
+        assert_eq!(
+            stats[Metric::TransportRequests],
+            1,
+            "one PUSH crossed the transport"
+        );
+        assert_eq!(stats[Metric::TransportTimeouts], 0);
+        assert_eq!(stats[Metric::TransportDegradations], 0);
     }
 
     #[test]

@@ -7,7 +7,7 @@ use pushpull_core::machine::Machine;
 use pushpull_core::serializability::{check_machine, check_machine_nested, compensation_restores};
 use pushpull_core::toy::{counter_op, CounterMethod, StrictCounter, ToyCounter};
 use pushpull_core::trace::Event;
-use pushpull_core::ScopeKind;
+use pushpull_core::{Metric, ScopeKind};
 
 fn inc() -> Code<CounterMethod> {
     Code::method(CounterMethod::Inc)
@@ -41,9 +41,9 @@ fn closed_scope_merges_into_parent() {
     assert_eq!(m.committed_txns().len(), 1);
     assert_eq!(m.committed_txns()[0].ops.len(), 3);
     assert!(check_machine_nested(&m).is_serializable());
-    let stats = m.nesting_stats();
-    assert_eq!(stats.scopes_opened, 1);
-    assert_eq!(stats.scopes_merged, 1);
+    let stats = m.metrics();
+    assert_eq!(stats[Metric::ScopesOpened], 1);
+    assert_eq!(stats[Metric::ScopesMerged], 1);
 }
 
 #[test]
@@ -61,7 +61,7 @@ fn closed_scope_abort_rewinds_only_its_suffix() {
     m.push_all_and_commit(t).unwrap();
     assert_eq!(m.committed_txns()[0].ops.len(), 1);
     assert!(check_machine_nested(&m).is_serializable());
-    assert_eq!(m.nesting_stats().scopes_aborted, 1);
+    assert_eq!(m.metrics()[Metric::ScopesAborted], 1);
 }
 
 #[test]
@@ -192,8 +192,8 @@ fn open_scope_commits_as_its_own_transaction() {
     let report = check_machine_nested(&m);
     assert!(report.is_serializable(), "{report}");
     assert_eq!(report.txns_per_level, vec![1, 1]);
-    assert_eq!(m.nesting_stats().open_commits, 1);
-    assert_eq!(m.nesting_stats().compensations_replayed, 0);
+    assert_eq!(m.metrics()[Metric::OpenCommits], 1);
+    assert_eq!(m.metrics()[Metric::Compensations], 0);
 }
 
 #[test]
@@ -214,7 +214,7 @@ fn parent_abort_replays_compensation() {
     m.push_all_and_commit(t).unwrap();
     let report = check_machine_nested(&m);
     assert!(report.is_serializable(), "{report}");
-    assert_eq!(m.nesting_stats().compensations_replayed, 1);
+    assert_eq!(m.metrics()[Metric::Compensations], 1);
     // Final committed projection: inc, dec, inc, inc — ends at 2.
     let final_states = m.global().committed_ops();
     assert_eq!(final_states.len(), 4);

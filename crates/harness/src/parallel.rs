@@ -29,6 +29,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 use pushpull_analysis::AnalysisPlan;
 use pushpull_core::error::MachineError;
+use pushpull_core::MetricsSnapshot;
 use pushpull_tm::driver::{ParallelSystem, Tick};
 
 /// Why a parallel run failed.
@@ -97,111 +98,37 @@ pub struct ThreadDump {
 pub struct WatchdogReport {
     /// One dump per model thread.
     pub threads: Vec<ThreadDump>,
-    /// Shared-log `(acquires, contended)` lock counters at the time the
-    /// watchdog tripped, when the system exposes them — a livelock whose
-    /// `contended` tally keeps climbing is fighting over the log; one
-    /// whose tallies are flat is stuck outside it (driver metadata,
-    /// dependency waits).
-    pub lock_stats: Option<(u64, u64)>,
-    /// Per-shard `(acquires, contended)`, ascending by shard index —
-    /// pinpoints *which* shard a log-bound livelock is fighting over.
-    pub lock_stats_per_shard: Option<Vec<(u64, u64)>>,
-    /// Seqlock `(snapshot reads, retries, fallbacks)` counters, when the
-    /// system exposes them — a high fallback share means the lock-free
-    /// path is being defeated (coarse mode or write churn).
-    pub seqlock_stats: Option<(u64, u64, u64)>,
-    /// Arena `(live, capacity, reused)` occupancy across the shard logs.
-    pub arena_stats: Option<(u64, u64, u64)>,
-    /// Transport envelope counters, when a shard transport is installed —
-    /// a stall whose `timeouts` keep climbing with `degradations` still
-    /// zero means the retry envelope is absorbing a fault without ever
-    /// reaching the coarse fallback.
-    pub transport_stats: Option<pushpull_core::TransportStats>,
-    /// Group-commit batch counters, when the system runs the service
-    /// commit seam — a stall with `batches` flat but commit-ready work
-    /// queued means the batching stage itself is wedged.
-    pub group_stats: Option<pushpull_core::GroupStats>,
-    /// Nested-scope counters, when the system exposes them — a stall
-    /// with `scopes_opened` climbing but neither `scopes_merged` nor
-    /// `scopes_aborted` moving means threads keep re-entering a scope
-    /// they can never exit.
-    pub nesting_stats: Option<pushpull_core::NestingStats>,
+    /// Every machine metric at the time the watchdog tripped. A livelock
+    /// whose `lock_contended` keeps climbing is fighting over the log;
+    /// one whose lock tallies are flat is stuck outside it (driver
+    /// metadata, dependency waits). A high `snap_fallbacks` share means
+    /// the lock-free path is being defeated; transport `timeouts`
+    /// climbing with `degradations` still zero means the retry envelope
+    /// is absorbing a fault without reaching the coarse fallback; group
+    /// `batches` flat with commit-ready work queued means the batching
+    /// stage is wedged; `scopes_opened` climbing while neither
+    /// `scopes_merged` nor `scopes_aborted` moves means threads keep
+    /// re-entering a scope they can never exit.
+    pub metrics: MetricsSnapshot,
+    /// Each shard's own metrics, ascending by shard index — pinpoints
+    /// *which* shard a log-bound livelock is fighting over.
+    pub shards: Vec<MetricsSnapshot>,
 }
 
 impl std::fmt::Display for WatchdogReport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         writeln!(f, "watchdog: tick budget exhausted")?;
-        if let Some((acquires, contended)) = self.lock_stats {
-            writeln!(
-                f,
-                "  shard locks: {acquires} acquires, {contended} contended"
-            )?;
+        // Declaration order, ascending shards: the dump is deterministic,
+        // diffable across runs of the same configuration.
+        for (m, v) in self.metrics.iter() {
+            writeln!(f, "  {:<32} {v}", m.name())?;
         }
-        if let Some(per_shard) = &self.lock_stats_per_shard {
-            // Ascending shard order: the dump is deterministic, diffable
-            // across runs of the same configuration.
-            for (i, (acquires, contended)) in per_shard.iter().enumerate() {
-                writeln!(
-                    f,
-                    "    shard {i:<3} acquires={acquires:<9} contended={contended}"
-                )?;
+        for (i, shard) in self.shards.iter().enumerate() {
+            write!(f, "    shard {i:<3}")?;
+            for (m, v) in shard.iter().filter(|&(_, v)| v > 0) {
+                write!(f, " {}={v}", m.name())?;
             }
-        }
-        if let Some((reads, retries, fallbacks)) = self.seqlock_stats {
-            writeln!(
-                f,
-                "  seqlock: {reads} snapshot reads, {retries} retries, {fallbacks} fallbacks"
-            )?;
-        }
-        if let Some((live, capacity, reused)) = self.arena_stats {
-            writeln!(
-                f,
-                "  arena: {live} live / {capacity} slots, {reused} reused"
-            )?;
-        }
-        if let Some(t) = self.transport_stats {
-            writeln!(
-                f,
-                "  transport: {} requests, {} retries, {} timeouts, {} degradations, {} recoveries",
-                t.requests, t.retries, t.timeouts, t.degradations, t.recoveries
-            )?;
-        }
-        if let Some(g) = self.group_stats {
-            if g.batches > 0 {
-                writeln!(
-                    f,
-                    "  group commit: {} batches, {} txns, {} ops, {} locks saved",
-                    g.batches, g.batched_txns, g.batched_ops, g.locks_saved
-                )?;
-                // Fixed ascending bucket order: deterministic output.
-                write!(f, "  batch sizes:")?;
-                for (i, count) in g.size_hist.iter().enumerate() {
-                    if *count > 0 {
-                        write!(
-                            f,
-                            " {}={}",
-                            pushpull_core::GroupStats::bucket_label(i),
-                            count
-                        )?;
-                    }
-                }
-                writeln!(f)?;
-            }
-        }
-        if let Some(n) = &self.nesting_stats {
-            if n.scopes_opened > 0 {
-                writeln!(
-                    f,
-                    "  nesting: {} opened, {} merged, {} aborted, {} open commits, \
-                     {} compensations, {} undo inverses",
-                    n.scopes_opened,
-                    n.scopes_merged,
-                    n.scopes_aborted,
-                    n.open_commits,
-                    n.compensations_replayed,
-                    n.undo_inverses
-                )?;
-            }
+            writeln!(f)?;
         }
         for t in &self.threads {
             writeln!(
@@ -266,9 +193,9 @@ where
         // carrying both must land the certificate before the discharge
         // (and before any shard routing the caller set up is exercised).
         if plan.certificate.is_some() {
-            sys.install_certificate(plan.certificate.clone());
+            sys.machine().install_certificate(plan.certificate.clone());
         }
-        sys.set_static_discharge(plan.discharge.clone());
+        sys.machine().set_static_discharge(plan.discharge.clone());
     }
     let total_ticks = AtomicUsize::new(0);
     let stop = AtomicBool::new(false);
@@ -372,13 +299,10 @@ where
                 done: s.done,
             })
             .collect(),
-        lock_stats: sys.lock_stats(),
-        lock_stats_per_shard: sys.lock_stats_per_shard(),
-        seqlock_stats: sys.seqlock_stats(),
-        arena_stats: sys.arena_stats(),
-        transport_stats: sys.transport_stats(),
-        group_stats: sys.group_stats(),
-        nesting_stats: sys.nesting_stats(),
+        metrics: sys.machine().metrics(),
+        shards: (0..sys.machine().log_shards())
+            .map(|i| sys.machine().shard_metrics(i))
+            .collect(),
     });
     Ok((
         sys,
@@ -392,7 +316,7 @@ where
 
 /// [`run_parallel`] with the machine's shared log resharded into
 /// `shards` footprint shards first (see
-/// [`TmSystem::set_log_shards`](pushpull_tm::driver::TmSystem::set_log_shards)).
+/// [`Machine::set_log_shards`](pushpull_core::Machine::set_log_shards)).
 ///
 /// Sharding changes only which lock a shared-log rule takes — commits,
 /// audit ledgers and oracle verdicts are identical at every shard count
@@ -417,10 +341,10 @@ where
     // on record before the shards are cut.
     if let Some(plan) = plan {
         if plan.certificate.is_some() {
-            sys.install_certificate(plan.certificate.clone());
+            sys.machine().install_certificate(plan.certificate.clone());
         }
     }
-    sys.set_log_shards(shards);
+    sys.machine_mut().set_log_shards(shards);
     run_parallel(sys, max_ticks_per_thread, plan)
 }
 
@@ -431,6 +355,7 @@ mod tests {
     use pushpull_core::serializability::check_machine;
     use pushpull_spec::kvmap::{KvMap, MapMethod};
     use pushpull_tm::boosting::BoostingSystem;
+    use pushpull_tm::driver::{SystemStats, TmSystem};
 
     #[test]
     fn parallel_boosting_run_is_serializable() {
@@ -479,9 +404,11 @@ mod tests {
 
     /// A two-thread system whose second worker panics on its third tick.
     #[derive(Debug)]
-    struct PanickySystem;
+    struct PanickySystem(pushpull_core::Machine<KvMap>);
 
-    impl pushpull_tm::driver::TmSystem for PanickySystem {
+    impl TmSystem for PanickySystem {
+        type Spec = KvMap;
+
         fn tick(&mut self, _tid: pushpull_core::op::ThreadId) -> Result<Tick, MachineError> {
             Ok(Tick::Progress)
         }
@@ -493,6 +420,15 @@ mod tests {
         }
         fn name(&self) -> &'static str {
             "panicky"
+        }
+        fn machine(&self) -> &pushpull_core::Machine<KvMap> {
+            &self.0
+        }
+        fn machine_mut(&mut self) -> &mut pushpull_core::Machine<KvMap> {
+            &mut self.0
+        }
+        fn stats(&self) -> SystemStats {
+            SystemStats::default().with_machine(&self.0)
         }
     }
 
@@ -514,7 +450,8 @@ mod tests {
 
     #[test]
     fn worker_panic_surfaces_thread_and_tick() {
-        let err = run_parallel(PanickySystem, 100_000, None).unwrap_err();
+        let sys = PanickySystem(pushpull_core::Machine::new(KvMap::new()));
+        let err = run_parallel(sys, 100_000, None).unwrap_err();
         match err {
             ParallelError::Panic {
                 thread,
@@ -539,12 +476,32 @@ mod tests {
             .map(|_| vec![Code::method(MapMethod::Put(0, 1))])
             .collect();
         let sys = BoostingSystem::new(KvMap::new(), programs);
-        let (_, outcome) = run_parallel(sys, 1, None).unwrap();
+        let (_, outcome) = run_parallel_sharded(sys, 1, None, 2).unwrap();
         assert!(!outcome.completed);
         let dump = outcome.watchdog.expect("watchdog must trip");
         assert_eq!(dump.threads.len(), 2);
+        assert_eq!(dump.shards.len(), 2);
         let rendered = dump.to_string();
         assert!(rendered.contains("thread 0"), "{rendered}");
         assert!(rendered.contains("tick budget exhausted"), "{rendered}");
+        // The shard-lock, per-shard and seqlock lines, in that order.
+        let at = |needle: &str| {
+            rendered
+                .find(needle)
+                .unwrap_or_else(|| panic!("no {needle:?} in:\n{rendered}"))
+        };
+        let locks = at("  core.global.lock_acquires ");
+        let contended = at("  core.global.lock_contended ");
+        let seqlock = at("  core.global.snap_reads ");
+        let shard0 = at("    shard 0  ");
+        let shard1 = at("    shard 1  ");
+        assert!(locks < contended && contended < seqlock && seqlock < shard0);
+        assert!(shard0 < shard1 && shard1 < at("  thread 0"));
+        // The per-shard tallies sum to the machine-wide ones.
+        let total: MetricsSnapshot = dump.shards.iter().copied().sum();
+        assert_eq!(
+            total[pushpull_core::Metric::LockAcquires],
+            dump.metrics[pushpull_core::Metric::LockAcquires]
+        );
     }
 }

@@ -2,7 +2,8 @@
 //! EXPERIMENTS.md tables. Each cell of a reported table is a mean ± σ
 //! over independently seeded schedulers on identical workloads.
 
-use pushpull_tm::driver::SystemStats;
+use pushpull_core::{Metric, MetricsSnapshot};
+use pushpull_tm::driver::{SystemStats, TmSystem};
 
 /// Aggregate of a statistic across seeds.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -73,58 +74,28 @@ pub struct SweepResult {
     pub degradations: Aggregate,
     /// Longest single-thread consecutive-abort streak per run.
     pub max_abort_streak: Aggregate,
-    /// Shared-log shard-lock acquisitions per run.
-    pub lock_acquires: Aggregate,
-    /// Shared-log shard-lock acquisitions that had to wait per run.
-    pub lock_contended: Aggregate,
-    /// Criteria evaluations served lock-free from shard snapshots per run.
-    pub snap_reads: Aggregate,
-    /// Seqlock validation retries per run.
-    pub snap_retries: Aggregate,
-    /// Snapshot reads that fell back to the mutex ladder per run.
-    pub snap_fallbacks: Aggregate,
-    /// Arena slot reuses (recycled `GlobalEntry` slots) per run.
-    pub arena_reused: Aggregate,
-    /// Transport envelope requests (calls + probes) per run.
-    pub transport_requests: Aggregate,
-    /// Transport delivery re-attempts per run.
-    pub transport_retries: Aggregate,
-    /// Transport attempts that missed their deadline per run.
-    pub transport_timeouts: Aggregate,
-    /// Fast-path → coarse degradation transitions per run.
-    pub transport_degradations: Aggregate,
-    /// Coarse → fast-path recovery transitions per run.
-    pub transport_recoveries: Aggregate,
     /// Logical sessions multiplexed by the service front-end per run.
     pub sessions: Aggregate,
-    /// Group-commit batches sealed per run.
-    pub group_batches: Aggregate,
-    /// Transactions committed through group-commit batches per run.
-    pub group_txns: Aggregate,
-    /// Shard-lock acquisitions amortized away by batching per run.
-    pub group_locks_saved: Aggregate,
     /// Commit-ready transactions that fell back to the per-transaction
     /// path per run.
     pub group_fallbacks: Aggregate,
-    /// Nested scopes opened (closed, open and checkpoint) per run.
-    pub scopes_opened: Aggregate,
-    /// Closed scopes merged into their parent per run.
-    pub scopes_merged: Aggregate,
-    /// Nested scopes aborted (suffix rewound) per run.
-    pub scopes_aborted: Aggregate,
-    /// Open-nested children committed to `G` per run.
-    pub open_commits: Aggregate,
-    /// Compensating transactions replayed on parent aborts per run.
-    pub compensations_replayed: Aggregate,
-    /// Inverse operations derived for undo programs per run.
-    pub undo_inverses: Aggregate,
+    /// One aggregate per machine [`Metric`], indexed by `metric as
+    /// usize`; read it with [`SweepResult::metric`].
+    pub metrics: Vec<Aggregate>,
+}
+
+impl SweepResult {
+    /// The aggregate of `metric` across seeds.
+    pub fn metric(&self, metric: Metric) -> Aggregate {
+        self.metrics[metric as usize]
+    }
 }
 
 impl std::fmt::Display for SweepResult {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "{:<34} commits={:<12} aborts={:<12} abort-rate={:>6.1}%  ticks={:<14} streak={:<9} degr={} locks={}/{} snaps={} (retry={} fb={}) reuse={}",
+            "{:<34} commits={:<12} aborts={:<12} abort-rate={:>6.1}%  ticks={:<14} streak={:<9} degr={}",
             self.label,
             self.commits.to_string(),
             self.aborts.to_string(),
@@ -132,153 +103,57 @@ impl std::fmt::Display for SweepResult {
             self.ticks.to_string(),
             self.max_abort_streak.to_string(),
             self.degradations,
-            self.lock_contended,
-            self.lock_acquires,
-            self.snap_reads,
-            self.snap_retries,
-            self.snap_fallbacks,
-            self.arena_reused,
         )?;
-        // Only runs with a transport installed print the envelope tail, so
-        // fault-free sweep tables stay byte-compatible with older logs.
-        if self.transport_requests.max > 0.0 {
+        // Only service-front-end runs print the session tail.
+        if self.sessions.max > 0.0 {
             write!(
                 f,
-                " transport={} (retry={} to={} degr={} rec={})",
-                self.transport_requests,
-                self.transport_retries,
-                self.transport_timeouts,
-                self.transport_degradations,
-                self.transport_recoveries,
+                " sessions={} (fb={})",
+                self.sessions, self.group_fallbacks
             )?;
         }
-        // Likewise, only service-front-end runs (sessions multiplexed or
-        // batches sealed) print the group-commit tail.
-        if self.group_batches.max > 0.0 || self.sessions.max > 0.0 {
-            write!(
-                f,
-                " sessions={} batches={} (txns={} saved={} fb={})",
-                self.sessions,
-                self.group_batches,
-                self.group_txns,
-                self.group_locks_saved,
-                self.group_fallbacks,
-            )?;
-        }
-        // And only runs that actually nested scopes print the nesting
-        // tail, keeping flat sweep tables byte-compatible.
-        if self.scopes_opened.max > 0.0 {
-            write!(
-                f,
-                " scopes={} (merged={} aborted={} open={} comp={} undo={})",
-                self.scopes_opened,
-                self.scopes_merged,
-                self.scopes_aborted,
-                self.open_commits,
-                self.compensations_replayed,
-                self.undo_inverses,
-            )?;
+        // Every machine metric that moved in some run, in declaration
+        // order.
+        for &m in Metric::ALL {
+            let agg = self.metric(m);
+            if agg.max > 0.0 {
+                write!(f, " {}={agg}", m.name())?;
+            }
         }
         Ok(())
     }
 }
 
-/// Runs `make_and_run` once per seed (it returns the run's stats and
-/// tick count) and aggregates.
-pub fn sweep(
+/// Runs `make_and_run` once per seed — it builds a system, drives it to
+/// completion and returns it with its tick count — and aggregates the
+/// system's [`TmSystem::stats`] and machine metrics.
+pub fn sweep<T: TmSystem>(
     label: impl Into<String>,
     seeds: impl IntoIterator<Item = u64>,
-    mut make_and_run: impl FnMut(u64) -> (SystemStats, usize),
+    mut make_and_run: impl FnMut(u64) -> (T, usize),
 ) -> SweepResult {
-    let mut commits = Vec::new();
-    let mut aborts = Vec::new();
-    let mut rates = Vec::new();
-    let mut ticks = Vec::new();
-    let mut degradations = Vec::new();
-    let mut streaks = Vec::new();
-    let mut acquires = Vec::new();
-    let mut contended = Vec::new();
-    let mut snap_reads = Vec::new();
-    let mut snap_retries = Vec::new();
-    let mut snap_fallbacks = Vec::new();
-    let mut arena_reused = Vec::new();
-    let mut t_requests = Vec::new();
-    let mut t_retries = Vec::new();
-    let mut t_timeouts = Vec::new();
-    let mut t_degradations = Vec::new();
-    let mut t_recoveries = Vec::new();
-    let mut sessions = Vec::new();
-    let mut g_batches = Vec::new();
-    let mut g_txns = Vec::new();
-    let mut g_saved = Vec::new();
-    let mut g_fallbacks = Vec::new();
-    let mut n_opened = Vec::new();
-    let mut n_merged = Vec::new();
-    let mut n_aborted = Vec::new();
-    let mut n_open_commits = Vec::new();
-    let mut n_compensations = Vec::new();
-    let mut n_undo = Vec::new();
+    let mut runs = Vec::new();
     for seed in seeds {
-        let (stats, t) = make_and_run(seed);
-        commits.push(stats.commits as f64);
-        aborts.push(stats.aborts as f64);
-        rates.push(stats.abort_rate());
-        ticks.push(t as f64);
-        degradations.push(stats.degradations as f64);
-        streaks.push(stats.max_abort_streak as f64);
-        acquires.push(stats.lock_acquires as f64);
-        contended.push(stats.lock_contended as f64);
-        snap_reads.push(stats.snap_reads as f64);
-        snap_retries.push(stats.snap_retries as f64);
-        snap_fallbacks.push(stats.snap_fallbacks as f64);
-        arena_reused.push(stats.arena_reused as f64);
-        t_requests.push(stats.transport_requests as f64);
-        t_retries.push(stats.transport_retries as f64);
-        t_timeouts.push(stats.transport_timeouts as f64);
-        t_degradations.push(stats.transport_degradations as f64);
-        t_recoveries.push(stats.transport_recoveries as f64);
-        sessions.push(stats.sessions as f64);
-        g_batches.push(stats.group_batches as f64);
-        g_txns.push(stats.group_txns as f64);
-        g_saved.push(stats.group_locks_saved as f64);
-        g_fallbacks.push(stats.group_fallbacks as f64);
-        n_opened.push(stats.scopes_opened as f64);
-        n_merged.push(stats.scopes_merged as f64);
-        n_aborted.push(stats.scopes_aborted as f64);
-        n_open_commits.push(stats.open_commits as f64);
-        n_compensations.push(stats.compensations_replayed as f64);
-        n_undo.push(stats.undo_inverses as f64);
+        let (sys, ticks) = make_and_run(seed);
+        runs.push((sys.stats(), sys.machine().metrics(), ticks as f64));
     }
+    let of = |f: &dyn Fn(&(SystemStats, MetricsSnapshot, f64)) -> f64| {
+        Aggregate::of(&runs.iter().map(f).collect::<Vec<_>>())
+    };
     SweepResult {
         label: label.into(),
-        commits: Aggregate::of(&commits),
-        aborts: Aggregate::of(&aborts),
-        abort_rate: Aggregate::of(&rates),
-        ticks: Aggregate::of(&ticks),
-        degradations: Aggregate::of(&degradations),
-        max_abort_streak: Aggregate::of(&streaks),
-        lock_acquires: Aggregate::of(&acquires),
-        lock_contended: Aggregate::of(&contended),
-        snap_reads: Aggregate::of(&snap_reads),
-        snap_retries: Aggregate::of(&snap_retries),
-        snap_fallbacks: Aggregate::of(&snap_fallbacks),
-        arena_reused: Aggregate::of(&arena_reused),
-        transport_requests: Aggregate::of(&t_requests),
-        transport_retries: Aggregate::of(&t_retries),
-        transport_timeouts: Aggregate::of(&t_timeouts),
-        transport_degradations: Aggregate::of(&t_degradations),
-        transport_recoveries: Aggregate::of(&t_recoveries),
-        sessions: Aggregate::of(&sessions),
-        group_batches: Aggregate::of(&g_batches),
-        group_txns: Aggregate::of(&g_txns),
-        group_locks_saved: Aggregate::of(&g_saved),
-        group_fallbacks: Aggregate::of(&g_fallbacks),
-        scopes_opened: Aggregate::of(&n_opened),
-        scopes_merged: Aggregate::of(&n_merged),
-        scopes_aborted: Aggregate::of(&n_aborted),
-        open_commits: Aggregate::of(&n_open_commits),
-        compensations_replayed: Aggregate::of(&n_compensations),
-        undo_inverses: Aggregate::of(&n_undo),
+        commits: of(&|r| r.0.commits as f64),
+        aborts: of(&|r| r.0.aborts as f64),
+        abort_rate: of(&|r| r.0.abort_rate()),
+        ticks: of(&|r| r.2),
+        degradations: of(&|r| r.0.degradations as f64),
+        max_abort_streak: of(&|r| r.0.max_abort_streak as f64),
+        sessions: of(&|r| r.0.sessions as f64),
+        group_fallbacks: of(&|r| r.0.group_fallbacks as f64),
+        metrics: Metric::ALL
+            .iter()
+            .map(|&m| of(&|r| r.1[m] as f64))
+            .collect(),
     }
 }
 
@@ -321,7 +196,7 @@ mod tests {
             );
             let out = run(&mut sys, &mut RandomSched::new(seed), 1_000_000).unwrap();
             assert!(out.completed);
-            (sys.stats(), out.ticks)
+            (sys, out.ticks)
         });
         assert_eq!(result.commits.n, 5);
         assert!(
@@ -330,9 +205,10 @@ mod tests {
         );
         let line = result.to_string();
         assert!(line.contains("counter/optimistic"));
-        // Flat workloads never nest, and the table stays byte-compatible.
-        assert_eq!(result.scopes_opened.max, 0.0);
-        assert!(!line.contains("scopes="));
+        // Flat workloads never nest, and idle metrics are not printed.
+        assert_eq!(result.metric(Metric::ScopesOpened).max, 0.0);
+        assert!(!line.contains("core.nesting"));
+        assert!(line.contains("core.global.lock_acquires="), "{line}");
         let _ = Code::method(CtrMethod::Get); // silence unused import pathologies
     }
 
@@ -350,13 +226,16 @@ mod tests {
             let mut sys = OptimisticSystem::new(Counter::new(), programs, ReadPolicy::Snapshot);
             let out = run(&mut sys, &mut RandomSched::new(seed), 1_000_000).unwrap();
             assert!(out.completed);
-            (sys.stats(), out.ticks)
+            (sys, out.ticks)
         });
         assert!(
-            result.scopes_opened.mean > 0.0,
+            result.metric(Metric::ScopesOpened).mean > 0.0,
             "tx markers must open scopes: {result}"
         );
-        assert!(result.scopes_merged.mean > 0.0);
-        assert!(result.to_string().contains("scopes="), "{result}");
+        assert!(result.metric(Metric::ScopesMerged).mean > 0.0);
+        assert!(
+            result.to_string().contains("core.nesting.scopes_opened="),
+            "{result}"
+        );
     }
 }

@@ -29,10 +29,8 @@ use std::sync::Arc;
 use pushpull_core::audit::CriteriaAudit;
 use pushpull_core::error::{Clause, Rule};
 use pushpull_core::faults::{FaultHook, FaultKind};
-use pushpull_core::machine::Machine;
 use pushpull_core::opacity::check_trace;
 use pushpull_core::serializability::check_machine;
-use pushpull_core::spec::SeqSpec;
 use pushpull_tm::driver::TmSystem;
 
 use crate::faults::FaultPlan;
@@ -159,20 +157,19 @@ pub fn assert_ledger_matches(a: &CriteriaAudit, b: &CriteriaAudit) {
 ///
 /// Panics, prefixed with `label`, on any machine error, wedge, tally
 /// divergence, or oracle violation.
-pub fn assert_chaos_cell<T, Sp>(
+pub fn assert_chaos_cell<T>(
     label: &str,
     mut sys: T,
     plan: &Arc<FaultPlan>,
     seed: u64,
     budget: usize,
     expect_opaque: bool,
-    machine: impl Fn(&T) -> &Machine<Sp>,
 ) -> T
 where
     T: TmSystem,
-    Sp: SeqSpec,
 {
-    machine(&sys).set_fault_hook(Some(Arc::clone(plan) as Arc<dyn FaultHook>));
+    sys.machine()
+        .set_fault_hook(Some(Arc::clone(plan) as Arc<dyn FaultHook>));
     let out = run(&mut sys, &mut RandomSched::new(seed ^ 0xC0FF_EE00), budget)
         .unwrap_or_else(|e| panic!("{label}/seed {seed}: machine error: {e}"));
     assert!(
@@ -180,7 +177,7 @@ where
         "{label}/seed {seed}: wedged after {} ticks",
         out.ticks
     );
-    let m = machine(&sys);
+    let m = sys.machine();
     assert_injection_accounted(&m.audit(), &plan.fired());
     let report = check_machine(m);
     assert!(report.is_serializable(), "{label}/seed {seed}: {report}");

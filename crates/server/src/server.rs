@@ -6,7 +6,7 @@
 //! [`TxnServer`] owns one [`Machine`] with `workers × slots_per_worker`
 //! machine threads. Worker `w` exclusively owns the handle slots
 //! `[w·K, (w+1)·K)` **and** its own pre-dealt session queue (see
-//! [`assign_sessions`](crate::session::assign_sessions)), so a tick of
+//! [`assign_sessions`]), so a tick of
 //! one worker never touches another worker's state — the sequential
 //! [`TmSystem::tick`] drive and the OS-thread [`ParallelSystem`] drive
 //! run the very same per-worker function.
@@ -23,7 +23,7 @@
 //!    (e.g. a bank overdraft: retrying could never succeed);
 //! 4. **commit** — commit-ready slots are scheduled in destination-shard
 //!    order and committed through
-//!    [`commit_group`](pushpull_core::commit_group) (one shard-lock
+//!    [`commit_group`] (one shard-lock
 //!    acquisition and one contiguous stamp range per shard batch), or
 //!    one by one when batching is off or a transaction is ineligible.
 //!    The scheduling order is computed identically with batching on or
@@ -66,7 +66,7 @@ pub struct ServerConfig {
     /// of its worker's clock, regardless of capacity.
     pub arrival_period: u64,
     /// Seed for the admission assignment (see
-    /// [`assign_sessions`](crate::session::assign_sessions)).
+    /// [`assign_sessions`]).
     pub seed: u64,
     /// Record a [`TxnResponse`] log (off by default: a 10k-session drive
     /// doesn't want the allocation churn).
@@ -588,11 +588,6 @@ impl<S: SeqSpec> TxnServer<S> {
         }
     }
 
-    /// The underlying machine.
-    pub fn machine(&self) -> &Machine<S> {
-        &self.machine
-    }
-
     /// The server's configuration.
     pub fn config(&self) -> &ServerConfig {
         &self.config
@@ -629,39 +624,11 @@ impl<S: SeqSpec> TxnServer<S> {
             .flat_map(|w| w.responses.iter())
             .collect()
     }
-
-    /// Accumulated statistics: worker counters summed, machine-level
-    /// counters (locks, seqlock, arena, transport, group commit) read
-    /// from the machine.
-    pub fn stats(&self) -> SystemStats {
-        let mut stats: SystemStats = self.workers.iter().map(|w| w.stats).sum();
-        let (acquires, contended) = self.machine.lock_stats();
-        stats.lock_acquires = acquires;
-        stats.lock_contended = contended;
-        let (snap_reads, snap_retries, snap_fallbacks) = self.machine.seqlock_stats();
-        stats.snap_reads = snap_reads;
-        stats.snap_retries = snap_retries;
-        stats.snap_fallbacks = snap_fallbacks;
-        let (arena_live, arena_capacity, arena_reused) = self.machine.arena_stats();
-        stats.arena_live = arena_live;
-        stats.arena_capacity = arena_capacity;
-        stats.arena_reused = arena_reused;
-        let t = self.machine.transport_stats();
-        stats.transport_requests = t.requests;
-        stats.transport_retries = t.retries;
-        stats.transport_timeouts = t.timeouts;
-        stats.transport_degradations = t.degradations;
-        stats.transport_recoveries = t.recoveries;
-        let g = self.machine.group_stats();
-        stats.group_batches = g.batches;
-        stats.group_txns = g.batched_txns;
-        stats.group_locks_saved = g.locks_saved;
-        stats.group_hist = g.size_hist;
-        stats
-    }
 }
 
 impl<S: SeqSpec> TmSystem for TxnServer<S> {
+    type Spec = S;
+
     fn tick(&mut self, tid: ThreadId) -> Result<Tick, MachineError> {
         let w = tid.0;
         if w >= self.workers.len() {
@@ -684,7 +651,20 @@ impl<S: SeqSpec> TmSystem for TxnServer<S> {
         "txn-server"
     }
 
-    pushpull_tm::forward_machine_hooks!();
+    fn machine(&self) -> &Machine<S> {
+        &self.machine
+    }
+
+    fn machine_mut(&mut self) -> &mut Machine<S> {
+        &mut self.machine
+    }
+
+    /// Worker counters summed, with the shared-log fields read from the
+    /// machine.
+    fn stats(&self) -> SystemStats {
+        let stats: SystemStats = self.workers.iter().map(|w| w.stats).sum();
+        stats.with_machine(&self.machine)
+    }
 }
 
 impl<S> ParallelSystem for TxnServer<S>
@@ -749,12 +729,13 @@ mod tests {
         assert_eq!(stats.sessions, 64);
         assert_eq!(stats.commits, 64);
         assert!(sys.outcomes().iter().all(|(_, o)| o.is_committed()));
-        assert!(stats.group_batches > 0, "nothing batched");
-        assert_eq!(stats.group_txns, 64, "every commit should batch");
-        assert!(stats.group_locks_saved > 0);
+        let g = sys.machine().group_stats();
+        assert!(g.batches > 0, "nothing batched");
+        assert_eq!(g.batched_txns, 64, "every commit should batch");
+        assert!(g.locks_saved > 0);
         // Full slots, synchronized sessions: batches of 8 land in the
         // 5–8 bucket.
-        assert!(stats.group_hist[3] > 0, "hist: {:?}", stats.group_hist);
+        assert!(g.size_hist[3] > 0, "hist: {:?}", g.size_hist);
         assert!(
             stats.lock_acquires < stats.commits,
             "batched disjoint load must average below one lock per commit \
@@ -791,7 +772,7 @@ mod tests {
             on.machine().trace().render(),
             off.machine().trace().render()
         );
-        assert_eq!(off.stats().group_batches, 0);
+        assert_eq!(off.machine().group_stats().batches, 0);
         assert!(off.stats().lock_acquires > on.stats().lock_acquires);
     }
 

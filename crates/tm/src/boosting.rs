@@ -254,19 +254,6 @@ impl<S: ConflictKeyed> BoostingSystem<S> {
         }
     }
 
-    /// The underlying machine (for oracles, traces, invariant checks).
-    pub fn machine(&self) -> &Machine<S> {
-        &self.machine
-    }
-
-    /// Accumulated statistics (summed over threads).
-    pub fn stats(&self) -> SystemStats {
-        let mut stats: SystemStats = self.threads.iter().map(|t| t.stats).sum();
-        self.contention.fold_into(&mut stats);
-        crate::driver::fold_machine_counters(&self.machine, &mut stats);
-        stats
-    }
-
     /// Forces the thread's current transaction to abort at its next tick
     /// — the Figure 2 "if aborting" path, exercised by tests and the
     /// examples.
@@ -312,6 +299,8 @@ where
 }
 
 impl<S: ConflictKeyed> TmSystem for BoostingSystem<S> {
+    type Spec = S;
+
     fn tick(&mut self, tid: ThreadId) -> Result<Tick, MachineError> {
         tick_thread(
             &self.shared,
@@ -342,7 +331,19 @@ impl<S: ConflictKeyed> TmSystem for BoostingSystem<S> {
         Some(self.contention.report())
     }
 
-    crate::driver::forward_machine_hooks!();
+    fn machine(&self) -> &Machine<S> {
+        &self.machine
+    }
+
+    fn machine_mut(&mut self) -> &mut Machine<S> {
+        &mut self.machine
+    }
+
+    fn stats(&self) -> SystemStats {
+        let mut stats: SystemStats = self.threads.iter().map(|t| t.stats).sum();
+        self.contention.fold_into(&mut stats);
+        stats.with_machine(&self.machine)
+    }
 }
 
 impl<S> ParallelSystem for BoostingSystem<S>

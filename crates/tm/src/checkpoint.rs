@@ -251,20 +251,6 @@ impl<S: SeqSpec> CheckpointOptimistic<S> {
         }
     }
 
-    /// The underlying machine.
-    pub fn machine(&self) -> &Machine<S> {
-        &self.machine
-    }
-
-    /// Accumulated statistics (summed over threads). `aborts` counts
-    /// *full* aborts only; see [`CheckpointOptimistic::partial_rewinds`].
-    pub fn stats(&self) -> SystemStats {
-        let mut stats: SystemStats = self.threads.iter().map(|t| t.stats).sum();
-        self.contention.fold_into(&mut stats);
-        crate::driver::fold_machine_counters(&self.machine, &mut stats);
-        stats
-    }
-
     /// Conflicts resolved by rewinding to a checkpoint rather than
     /// restarting the transaction.
     pub fn partial_rewinds(&self) -> u64 {
@@ -279,6 +265,8 @@ impl<S: SeqSpec> CheckpointOptimistic<S> {
 }
 
 impl<S: SeqSpec> TmSystem for CheckpointOptimistic<S> {
+    type Spec = S;
+
     fn tick(&mut self, tid: ThreadId) -> Result<Tick, MachineError> {
         tick_thread(
             self.machine.handle_mut(tid)?,
@@ -308,7 +296,21 @@ impl<S: SeqSpec> TmSystem for CheckpointOptimistic<S> {
         Some(self.contention.report())
     }
 
-    crate::driver::forward_machine_hooks!();
+    fn machine(&self) -> &Machine<S> {
+        &self.machine
+    }
+
+    fn machine_mut(&mut self) -> &mut Machine<S> {
+        &mut self.machine
+    }
+
+    /// `aborts` counts *full* aborts only; see
+    /// [`CheckpointOptimistic::partial_rewinds`].
+    fn stats(&self) -> SystemStats {
+        let mut stats: SystemStats = self.threads.iter().map(|t| t.stats).sum();
+        self.contention.fold_into(&mut stats);
+        stats.with_machine(&self.machine)
+    }
 }
 
 impl<S> ParallelSystem for CheckpointOptimistic<S>

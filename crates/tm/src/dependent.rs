@@ -342,19 +342,6 @@ impl<S: SeqSpec> DependentSystem<S> {
         }
     }
 
-    /// The underlying machine.
-    pub fn machine(&self) -> &Machine<S> {
-        &self.machine
-    }
-
-    /// Accumulated statistics (summed over threads).
-    pub fn stats(&self) -> SystemStats {
-        let mut stats: SystemStats = self.threads.iter().map(|t| t.stats).sum();
-        self.contention.fold_into(&mut stats);
-        crate::driver::fold_machine_counters(&self.machine, &mut stats);
-        stats
-    }
-
     /// Partial rewinds performed to detangle from aborted dependencies.
     pub fn partial_detangles(&self) -> u64 {
         self.threads.iter().map(|t| t.partial_detangles).sum()
@@ -400,6 +387,8 @@ impl<S: SeqSpec + Clone> Clone for DependentSystem<S> {
 }
 
 impl<S: SeqSpec> TmSystem for DependentSystem<S> {
+    type Spec = S;
+
     fn tick(&mut self, tid: ThreadId) -> Result<Tick, MachineError> {
         tick_thread(
             self.eager_release,
@@ -431,7 +420,19 @@ impl<S: SeqSpec> TmSystem for DependentSystem<S> {
         Some(self.contention.report())
     }
 
-    crate::driver::forward_machine_hooks!();
+    fn machine(&self) -> &Machine<S> {
+        &self.machine
+    }
+
+    fn machine_mut(&mut self) -> &mut Machine<S> {
+        &mut self.machine
+    }
+
+    fn stats(&self) -> SystemStats {
+        let mut stats: SystemStats = self.threads.iter().map(|t| t.stats).sum();
+        self.contention.fold_into(&mut stats);
+        stats.with_machine(&self.machine)
+    }
 }
 
 impl<S> ParallelSystem for DependentSystem<S>

@@ -13,11 +13,9 @@
 //! choices; all shared implementation state therefore lives *inside* the
 //! system value (no `Arc` aliasing).
 
-use std::sync::Arc;
-
 use pushpull_core::error::MachineError;
 use pushpull_core::op::ThreadId;
-use pushpull_core::{RulePattern, StaticDischarge};
+use pushpull_core::{Machine, Metric, RulePattern, SeqSpec};
 
 /// The rule pattern every driver in this crate declares: all seven rules.
 ///
@@ -50,14 +48,26 @@ pub enum Tick {
 
 /// A transactional-memory system driving a PUSH/PULL machine.
 ///
-/// Implementors: [`BoostingSystem`](crate::boosting::BoostingSystem),
+/// Per §6, each algorithm is a pattern of rule invocations on one
+/// machine, so a system is that [`Machine`] plus the algorithm's own
+/// state, and hands the machine out through [`TmSystem::machine`].
+///
+/// Implementors: the ten drivers of this crate —
+/// [`BoostingSystem`](crate::boosting::BoostingSystem),
 /// [`OptimisticSystem`](crate::optimistic::OptimisticSystem),
+/// [`CheckpointOptimistic`](crate::checkpoint::CheckpointOptimistic),
 /// [`MatveevShavitSystem`](crate::pessimistic::MatveevShavitSystem),
 /// [`IrrevocableSystem`](crate::irrevocable::IrrevocableSystem),
 /// [`DependentSystem`](crate::dependent::DependentSystem),
+/// [`TwoPhaseLocking`](crate::twophase::TwoPhaseLocking),
+/// [`Tl2System`](crate::tl2::Tl2System),
 /// [`HtmSystem`](crate::htm::HtmSystem) and
-/// [`MixedSystem`](crate::mixed::MixedSystem).
+/// [`MixedSystem`](crate::mixed::MixedSystem) — plus the service
+/// front-end `TxnServer` in `pushpull-server`.
 pub trait TmSystem {
+    /// The sequential specification the machine runs.
+    type Spec: SeqSpec;
+
     /// Ticks one thread, performing a bounded burst of machine rules.
     ///
     /// # Errors
@@ -77,6 +87,21 @@ pub trait TmSystem {
     /// Short human-readable algorithm name (for reports).
     fn name(&self) -> &'static str;
 
+    /// The PUSH/PULL machine this system drives: oracles, traces and
+    /// [`Machine::metrics`] read it, and configuration (static discharge,
+    /// certificates, transports, fault hooks) is installed on it.
+    fn machine(&self) -> &Machine<Self::Spec>;
+
+    /// Mutable access to the machine, for resharding
+    /// ([`Machine::set_log_shards`]) and the service commit seam
+    /// ([`Machine::commit_group`]).
+    fn machine_mut(&mut self) -> &mut Machine<Self::Spec>;
+
+    /// Accumulated statistics: the driver's own counters summed over its
+    /// threads, with the shared-log fields filled from the machine by
+    /// [`SystemStats::with_machine`]. Allocation-free.
+    fn stats(&self) -> SystemStats;
+
     /// Starvation metrics from the system's contention manager, for
     /// systems that run one (all ten drivers do).
     fn starvation(&self) -> Option<crate::contention::StarvationReport> {
@@ -85,207 +110,11 @@ pub trait TmSystem {
 
     /// The §6 rule pattern this driver expects to exercise, checked by
     /// the static linter's `pattern-divergence` lint. `None` opts out of
-    /// the check; the in-crate drivers all return
-    /// [`full_rule_pattern`].
+    /// the check; the default is [`full_rule_pattern`].
     fn declared_pattern(&self) -> Option<RulePattern> {
-        None
-    }
-
-    /// Installs (or, with `None`, clears) statically proven criteria
-    /// facts on the underlying machine, so proven mover loops are elided
-    /// at runtime; see
-    /// [`GlobalState::set_static_discharge`](pushpull_core::GlobalState::set_static_discharge).
-    ///
-    /// The default is a no-op so wrapper systems without a machine still
-    /// implement the trait; every in-crate driver forwards to its
-    /// machine.
-    fn set_static_discharge(&self, _facts: Option<Arc<StaticDischarge>>) {}
-
-    /// Installs (or, with `None`, clears) a spec certificate on the
-    /// underlying machine — the machine-checked verdict that the spec's
-    /// footprint/mover declarations agree with the exhaustively derived
-    /// ground truth, which strict mode
-    /// ([`TmSystem::set_require_certificate`]) demands before arming any
-    /// unsafe fast path. The default is a no-op so wrapper systems
-    /// without a machine still implement the trait.
-    fn install_certificate(&self, _cert: Option<Arc<pushpull_core::SpecCertificate>>) {}
-
-    /// Turns strict certificate-gated arming on or off on the underlying
-    /// machine (see
-    /// [`Machine::set_require_certificate`](pushpull_core::Machine::set_require_certificate)).
-    /// The default is a no-op.
-    fn set_require_certificate(&self, _on: bool) {}
-
-    /// The certificate gate's diagnostics from the underlying machine
-    /// (refused arming requests, coarse demotions), or `None` for
-    /// systems without a machine.
-    fn arming_diagnostics(&self) -> Option<Vec<String>> {
-        None
-    }
-
-    /// Reshards the underlying machine's shared log into `shards`
-    /// footprint-addressed segments (see
-    /// [`Machine::set_log_shards`](pushpull_core::Machine::set_log_shards)).
-    /// Sharding changes the *cost* of the shared-rule critical sections,
-    /// never their verdicts; the default is a no-op so wrapper systems
-    /// without a machine still implement the trait.
-    fn set_log_shards(&mut self, _shards: usize) {}
-
-    /// Shard-lock contention counters from the underlying machine:
-    /// `(acquires, contended)` summed over shards, or `None` for systems
-    /// without a machine.
-    fn lock_stats(&self) -> Option<(u64, u64)> {
-        None
-    }
-
-    /// Per-shard `(acquires, contended)` lock counters, indexed by shard,
-    /// or `None` for systems without a machine. Used by the watchdog's
-    /// deterministic per-shard dump.
-    fn lock_stats_per_shard(&self) -> Option<Vec<(u64, u64)>> {
-        None
-    }
-
-    /// Seqlock-path counters from the machine's lock-free criteria path:
-    /// `(snapshot reads, validation retries, fallbacks)`, or `None` for
-    /// systems without a machine.
-    fn seqlock_stats(&self) -> Option<(u64, u64, u64)> {
-        None
-    }
-
-    /// Arena occupancy of the machine's shard logs: `(live entries, slot
-    /// capacity, cumulative slot reuses)`, or `None` for systems without
-    /// a machine.
-    fn arena_stats(&self) -> Option<(u64, u64, u64)> {
-        None
-    }
-
-    /// Transport envelope counters from the machine's shard transport
-    /// seam (requests, retries, timeouts, degradations, recoveries), or
-    /// `None` for systems without a machine. All-zero when no transport
-    /// is installed.
-    fn transport_stats(&self) -> Option<pushpull_core::TransportStats> {
-        None
-    }
-
-    /// Group-commit batch counters from the underlying machine (batches
-    /// sealed, transactions/operations batched, lock acquisitions saved,
-    /// batch size histogram), or `None` for systems without a machine.
-    /// All-zero until the service commit seam batches something.
-    fn group_stats(&self) -> Option<pushpull_core::GroupStats> {
-        None
-    }
-
-    /// Nested-scope counters from the underlying machine (scopes opened /
-    /// merged / aborted, open-nested commits, compensations replayed,
-    /// undo inverses derived), or `None` for systems without a machine.
-    /// All-zero for programs that never nest.
-    fn nesting_stats(&self) -> Option<pushpull_core::NestingStats> {
-        None
-    }
-
-    /// The service-callable commit seam: commits the commit-ready
-    /// transactions of `tids` through the per-shard group-commit path
-    /// (one shard-lock acquisition and one contiguous stamp range per
-    /// batch), reporting ineligible threads back for the caller's
-    /// per-transaction fallback. `None` for systems without a machine —
-    /// the service front-end in `pushpull-server` requires a driver that
-    /// forwards this (all ten in-crate drivers do, via
-    /// `forward_machine_hooks!`).
-    ///
-    /// # Errors
-    ///
-    /// [`MachineError`] on duplicate or out-of-range `tids`.
-    fn service_commit_group(
-        &mut self,
-        _tids: &[ThreadId],
-    ) -> Option<Result<pushpull_core::GroupOutcome, MachineError>> {
-        None
+        Some(full_rule_pattern())
     }
 }
-
-/// Forwards the machine-backed [`TmSystem`] hooks to `self.machine`.
-///
-/// Every in-crate driver keeps a `machine: Machine<…>` field and forwards
-/// `declared_pattern` / `set_static_discharge` / `install_certificate` /
-/// `set_require_certificate` / `arming_diagnostics` / `set_log_shards` /
-/// `lock_stats` / `lock_stats_per_shard` / `seqlock_stats` /
-/// `arena_stats` / `transport_stats` identically; invoke this inside the
-/// driver's `impl TmSystem for …` block instead of spelling out the
-/// methods.
-#[macro_export]
-macro_rules! forward_machine_hooks {
-    () => {
-        fn declared_pattern(&self) -> Option<pushpull_core::RulePattern> {
-            Some($crate::driver::full_rule_pattern())
-        }
-
-        fn set_static_discharge(
-            &self,
-            facts: Option<std::sync::Arc<pushpull_core::StaticDischarge>>,
-        ) {
-            self.machine.set_static_discharge(facts);
-        }
-
-        fn install_certificate(
-            &self,
-            cert: Option<std::sync::Arc<pushpull_core::SpecCertificate>>,
-        ) {
-            self.machine.install_certificate(cert);
-        }
-
-        fn set_require_certificate(&self, on: bool) {
-            self.machine.set_require_certificate(on);
-        }
-
-        fn arming_diagnostics(&self) -> Option<Vec<String>> {
-            Some(self.machine.arming_diagnostics())
-        }
-
-        fn set_log_shards(&mut self, shards: usize) {
-            self.machine.set_log_shards(shards);
-        }
-
-        fn lock_stats(&self) -> Option<(u64, u64)> {
-            Some(self.machine.lock_stats())
-        }
-
-        fn lock_stats_per_shard(&self) -> Option<Vec<(u64, u64)>> {
-            Some(self.machine.lock_stats_per_shard())
-        }
-
-        fn seqlock_stats(&self) -> Option<(u64, u64, u64)> {
-            Some(self.machine.seqlock_stats())
-        }
-
-        fn arena_stats(&self) -> Option<(u64, u64, u64)> {
-            Some(self.machine.arena_stats())
-        }
-
-        fn transport_stats(&self) -> Option<pushpull_core::TransportStats> {
-            Some(self.machine.transport_stats())
-        }
-
-        fn group_stats(&self) -> Option<pushpull_core::GroupStats> {
-            Some(self.machine.group_stats())
-        }
-
-        fn nesting_stats(&self) -> Option<pushpull_core::NestingStats> {
-            Some(self.machine.nesting_stats())
-        }
-
-        fn service_commit_group(
-            &mut self,
-            tids: &[pushpull_core::ThreadId],
-        ) -> Option<Result<pushpull_core::GroupOutcome, pushpull_core::error::MachineError>> {
-            Some(self.machine.commit_group(tids))
-        }
-    };
-}
-// `#[macro_export]` hoists the macro to the crate root
-// (`pushpull_tm::forward_machine_hooks`); this alias keeps the
-// historical `crate::driver::forward_machine_hooks!` path working for
-// the in-crate drivers.
-pub use forward_machine_hooks;
 
 /// A worker closure for one model thread: each call performs one tick on
 /// that thread, touching only its own [`TxnHandle`] and per-thread driver
@@ -349,89 +178,32 @@ pub struct SystemStats {
     /// Cumulative arena slot reuses (UNPUSH-freed slots recycled by later
     /// appends).
     pub arena_reused: u64,
-    /// Logical shard-transport requests (calls and probes) through the
-    /// machine's transport seam. Zero when no transport is installed.
-    pub transport_requests: u64,
-    /// Transport re-delivery attempts after a failed one.
-    pub transport_retries: u64,
-    /// Transport delivery attempts that timed out or were lost
-    /// (injected transport faults included).
-    pub transport_timeouts: u64,
-    /// Shards degraded to the coarse coordinator path after exhausting
-    /// the transport's retry budget (fast→degraded transitions).
-    pub transport_degradations: u64,
-    /// Shards recovered to the fast path by a successful probe
-    /// (degraded→fast transitions).
-    pub transport_recoveries: u64,
     /// Logical sessions the service front-end multiplexed (zero outside
     /// `pushpull-server` runs).
     pub sessions: u64,
-    /// Group-commit batches sealed (each is one shard-lock acquisition
-    /// covering many transactions' PUSH/CMT critical sections).
-    pub group_batches: u64,
-    /// Transactions committed through a group-commit batch.
-    pub group_txns: u64,
-    /// Shard-lock acquisitions the batches amortized away versus the
-    /// per-transaction path.
-    pub group_locks_saved: u64,
     /// Commit-ready transactions that fell back to the per-transaction
     /// path (mixed shards, coarse mode, or an installed transport).
     pub group_fallbacks: u64,
-    /// Batch-size histogram in fixed ascending power-of-two buckets
-    /// (1, 2, 3–4, 5–8, 9–16, 17–32, 33–64, 65+) — deterministic to
-    /// report by construction.
-    pub group_hist: [u64; 8],
-    /// Nested scopes entered (peeled `tx`/`otx` redexes, explicit scopes,
-    /// checkpoint markers).
-    pub scopes_opened: u64,
-    /// Closed scopes merged into their parent on commit.
-    pub scopes_merged: u64,
-    /// Scopes aborted via partial rewind (the parent survived).
-    pub scopes_aborted: u64,
-    /// Open-nested children committed straight to the shared log.
-    pub open_commits: u64,
-    /// Compensating transactions replayed by aborting parents.
-    pub compensations_replayed: u64,
-    /// Inverse operations derived by the spec's undo oracle (boosting
-    /// undo-log accounting plus open-nesting compensation planning).
-    pub undo_inverses: u64,
-}
-
-/// Folds the machine-owned shared counters — shard locks, seqlock path,
-/// arena occupancy, transport envelope, nested scopes — into `stats`:
-/// the common tail of every in-crate driver's `stats()`, deduplicated
-/// here so a new machine counter lands in all ten drivers at once.
-pub fn fold_machine_counters<S: pushpull_core::SeqSpec>(
-    machine: &pushpull_core::Machine<S>,
-    stats: &mut SystemStats,
-) {
-    let (acquires, contended) = machine.lock_stats();
-    stats.lock_acquires = acquires;
-    stats.lock_contended = contended;
-    let (snap_reads, snap_retries, snap_fallbacks) = machine.seqlock_stats();
-    stats.snap_reads = snap_reads;
-    stats.snap_retries = snap_retries;
-    stats.snap_fallbacks = snap_fallbacks;
-    let (arena_live, arena_capacity, arena_reused) = machine.arena_stats();
-    stats.arena_live = arena_live;
-    stats.arena_capacity = arena_capacity;
-    stats.arena_reused = arena_reused;
-    let t = machine.transport_stats();
-    stats.transport_requests = t.requests;
-    stats.transport_retries = t.retries;
-    stats.transport_timeouts = t.timeouts;
-    stats.transport_degradations = t.degradations;
-    stats.transport_recoveries = t.recoveries;
-    let n = machine.nesting_stats();
-    stats.scopes_opened = n.scopes_opened;
-    stats.scopes_merged = n.scopes_merged;
-    stats.scopes_aborted = n.scopes_aborted;
-    stats.open_commits = n.open_commits;
-    stats.compensations_replayed = n.compensations_replayed;
-    stats.undo_inverses = n.undo_inverses;
 }
 
 impl SystemStats {
+    /// Fills the shared-log fields (`lock_*`, `snap_*`, `arena_*`) from
+    /// `machine`'s [`Machine::metrics`]: the common tail of every
+    /// [`TmSystem::stats`]. Every other machine counter is read from the
+    /// metrics snapshot itself.
+    pub fn with_machine<S: SeqSpec>(mut self, machine: &Machine<S>) -> Self {
+        let m = machine.metrics();
+        self.lock_acquires = m[Metric::LockAcquires];
+        self.lock_contended = m[Metric::LockContended];
+        self.snap_reads = m[Metric::SnapReads];
+        self.snap_retries = m[Metric::SnapRetries];
+        self.snap_fallbacks = m[Metric::SnapFallbacks];
+        self.arena_live = m[Metric::ArenaLive];
+        self.arena_capacity = m[Metric::ArenaCapacity];
+        self.arena_reused = m[Metric::ArenaReused];
+        self
+    }
+
     /// Abort rate: aborts / (commits + aborts), or 0 when idle.
     pub fn abort_rate(&self) -> f64 {
         let total = self.commits + self.aborts;
@@ -461,23 +233,8 @@ impl std::ops::Add for SystemStats {
             arena_live: self.arena_live + rhs.arena_live,
             arena_capacity: self.arena_capacity + rhs.arena_capacity,
             arena_reused: self.arena_reused + rhs.arena_reused,
-            transport_requests: self.transport_requests + rhs.transport_requests,
-            transport_retries: self.transport_retries + rhs.transport_retries,
-            transport_timeouts: self.transport_timeouts + rhs.transport_timeouts,
-            transport_degradations: self.transport_degradations + rhs.transport_degradations,
-            transport_recoveries: self.transport_recoveries + rhs.transport_recoveries,
             sessions: self.sessions + rhs.sessions,
-            group_batches: self.group_batches + rhs.group_batches,
-            group_txns: self.group_txns + rhs.group_txns,
-            group_locks_saved: self.group_locks_saved + rhs.group_locks_saved,
             group_fallbacks: self.group_fallbacks + rhs.group_fallbacks,
-            group_hist: std::array::from_fn(|i| self.group_hist[i] + rhs.group_hist[i]),
-            scopes_opened: self.scopes_opened + rhs.scopes_opened,
-            scopes_merged: self.scopes_merged + rhs.scopes_merged,
-            scopes_aborted: self.scopes_aborted + rhs.scopes_aborted,
-            open_commits: self.open_commits + rhs.open_commits,
-            compensations_replayed: self.compensations_replayed + rhs.compensations_replayed,
-            undo_inverses: self.undo_inverses + rhs.undo_inverses,
         }
     }
 }

@@ -203,19 +203,6 @@ impl HtmSystem {
             governors,
         }
     }
-
-    /// The underlying machine.
-    pub fn machine(&self) -> &Machine<RwMem> {
-        &self.machine
-    }
-
-    /// Accumulated statistics (summed over threads).
-    pub fn stats(&self) -> SystemStats {
-        let mut stats: SystemStats = self.threads.iter().map(|t| t.stats).sum();
-        self.contention.fold_into(&mut stats);
-        crate::driver::fold_machine_counters(&self.machine, &mut stats);
-        stats
-    }
 }
 
 impl Clone for HtmSystem {
@@ -238,6 +225,8 @@ impl Clone for HtmSystem {
 }
 
 impl TmSystem for HtmSystem {
+    type Spec = RwMem;
+
     fn tick(&mut self, tid: ThreadId) -> Result<Tick, MachineError> {
         tick_thread(
             &self.tracker,
@@ -268,7 +257,19 @@ impl TmSystem for HtmSystem {
         Some(self.contention.report())
     }
 
-    crate::driver::forward_machine_hooks!();
+    fn machine(&self) -> &Machine<RwMem> {
+        &self.machine
+    }
+
+    fn machine_mut(&mut self) -> &mut Machine<RwMem> {
+        &mut self.machine
+    }
+
+    fn stats(&self) -> SystemStats {
+        let mut stats: SystemStats = self.threads.iter().map(|t| t.stats).sum();
+        self.contention.fold_into(&mut stats);
+        stats.with_machine(&self.machine)
+    }
 }
 
 impl ParallelSystem for HtmSystem {

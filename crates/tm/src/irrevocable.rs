@@ -270,19 +270,6 @@ impl<S: SeqSpec> IrrevocableSystem<S> {
         }
     }
 
-    /// The underlying machine.
-    pub fn machine(&self) -> &Machine<S> {
-        &self.machine
-    }
-
-    /// Accumulated statistics (summed over threads).
-    pub fn stats(&self) -> SystemStats {
-        let mut stats: SystemStats = self.threads.iter().map(|t| t.stats).sum();
-        self.contention.fold_into(&mut stats);
-        crate::driver::fold_machine_counters(&self.machine, &mut stats);
-        stats
-    }
-
     /// Aborts taken by the irrevocable thread — must always be zero; kept
     /// as an observable so tests state it as an assertion, not an
     /// assumption.
@@ -309,6 +296,8 @@ where
 }
 
 impl<S: SeqSpec> TmSystem for IrrevocableSystem<S> {
+    type Spec = S;
+
     fn tick(&mut self, tid: ThreadId) -> Result<Tick, MachineError> {
         tick_thread(
             self.irrevocable,
@@ -339,7 +328,19 @@ impl<S: SeqSpec> TmSystem for IrrevocableSystem<S> {
         Some(self.contention.report())
     }
 
-    crate::driver::forward_machine_hooks!();
+    fn machine(&self) -> &Machine<S> {
+        &self.machine
+    }
+
+    fn machine_mut(&mut self) -> &mut Machine<S> {
+        &mut self.machine
+    }
+
+    fn stats(&self) -> SystemStats {
+        let mut stats: SystemStats = self.threads.iter().map(|t| t.stats).sum();
+        self.contention.fold_into(&mut stats);
+        stats.with_machine(&self.machine)
+    }
 }
 
 impl<S> ParallelSystem for IrrevocableSystem<S>

@@ -442,19 +442,6 @@ impl MixedSystem {
         }
     }
 
-    /// The underlying machine.
-    pub fn machine(&self) -> &Machine<MixedSpec> {
-        &self.machine
-    }
-
-    /// Accumulated statistics (summed over threads).
-    pub fn stats(&self) -> SystemStats {
-        let mut stats: SystemStats = self.threads.iter().map(|t| t.stats).sum();
-        self.contention.fold_into(&mut stats);
-        crate::driver::fold_machine_counters(&self.machine, &mut stats);
-        stats
-    }
-
     /// HTM aborts resolved by *partial* rewind (boosted effects kept).
     pub fn partial_htm_aborts(&self) -> u64 {
         self.threads.iter().map(|t| t.partial_htm_aborts).sum()
@@ -491,6 +478,8 @@ impl Clone for MixedSystem {
 }
 
 impl TmSystem for MixedSystem {
+    type Spec = MixedSpec;
+
     fn tick(&mut self, tid: ThreadId) -> Result<Tick, MachineError> {
         tick_thread(
             &self.shared,
@@ -521,7 +510,19 @@ impl TmSystem for MixedSystem {
         Some(self.contention.report())
     }
 
-    crate::driver::forward_machine_hooks!();
+    fn machine(&self) -> &Machine<MixedSpec> {
+        &self.machine
+    }
+
+    fn machine_mut(&mut self) -> &mut Machine<MixedSpec> {
+        &mut self.machine
+    }
+
+    fn stats(&self) -> SystemStats {
+        let mut stats: SystemStats = self.threads.iter().map(|t| t.stats).sum();
+        self.contention.fold_into(&mut stats);
+        stats.with_machine(&self.machine)
+    }
 }
 
 impl ParallelSystem for MixedSystem {

@@ -239,22 +239,11 @@ impl<S: SeqSpec> OptimisticSystem<S> {
             governors,
         }
     }
-
-    /// The underlying machine.
-    pub fn machine(&self) -> &Machine<S> {
-        &self.machine
-    }
-
-    /// Accumulated statistics (summed over threads).
-    pub fn stats(&self) -> SystemStats {
-        let mut stats: SystemStats = self.threads.iter().map(|t| t.stats).sum();
-        self.contention.fold_into(&mut stats);
-        crate::driver::fold_machine_counters(&self.machine, &mut stats);
-        stats
-    }
 }
 
 impl<S: SeqSpec> TmSystem for OptimisticSystem<S> {
+    type Spec = S;
+
     fn tick(&mut self, tid: ThreadId) -> Result<Tick, MachineError> {
         tick_thread(
             self.policy,
@@ -288,7 +277,19 @@ impl<S: SeqSpec> TmSystem for OptimisticSystem<S> {
         Some(self.contention.report())
     }
 
-    crate::driver::forward_machine_hooks!();
+    fn machine(&self) -> &Machine<S> {
+        &self.machine
+    }
+
+    fn machine_mut(&mut self) -> &mut Machine<S> {
+        &mut self.machine
+    }
+
+    fn stats(&self) -> SystemStats {
+        let mut stats: SystemStats = self.threads.iter().map(|t| t.stats).sum();
+        self.contention.fold_into(&mut stats);
+        stats.with_machine(&self.machine)
+    }
 }
 
 impl<S> ParallelSystem for OptimisticSystem<S>

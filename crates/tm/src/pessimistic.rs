@@ -192,19 +192,6 @@ impl<S: SeqSpec> MatveevShavitSystem<S> {
             governors,
         }
     }
-
-    /// The underlying machine.
-    pub fn machine(&self) -> &Machine<S> {
-        &self.machine
-    }
-
-    /// Accumulated statistics (summed over threads).
-    pub fn stats(&self) -> SystemStats {
-        let mut stats: SystemStats = self.threads.iter().map(|t| t.stats).sum();
-        self.contention.fold_into(&mut stats);
-        crate::driver::fold_machine_counters(&self.machine, &mut stats);
-        stats
-    }
 }
 
 impl<S: SeqSpec + Clone> Clone for MatveevShavitSystem<S> {
@@ -222,6 +209,8 @@ impl<S: SeqSpec + Clone> Clone for MatveevShavitSystem<S> {
 }
 
 impl<S: SeqSpec> TmSystem for MatveevShavitSystem<S> {
+    type Spec = S;
+
     fn tick(&mut self, tid: ThreadId) -> Result<Tick, MachineError> {
         tick_thread(
             &self.token,
@@ -252,7 +241,19 @@ impl<S: SeqSpec> TmSystem for MatveevShavitSystem<S> {
         Some(self.contention.report())
     }
 
-    crate::driver::forward_machine_hooks!();
+    fn machine(&self) -> &Machine<S> {
+        &self.machine
+    }
+
+    fn machine_mut(&mut self) -> &mut Machine<S> {
+        &mut self.machine
+    }
+
+    fn stats(&self) -> SystemStats {
+        let mut stats: SystemStats = self.threads.iter().map(|t| t.stats).sum();
+        self.contention.fold_into(&mut stats);
+        stats.with_machine(&self.machine)
+    }
 }
 
 impl<S> ParallelSystem for MatveevShavitSystem<S>

@@ -268,19 +268,6 @@ impl Tl2System {
         }
     }
 
-    /// The underlying machine.
-    pub fn machine(&self) -> &Machine<RwMem> {
-        &self.machine
-    }
-
-    /// Accumulated statistics (summed over threads).
-    pub fn stats(&self) -> SystemStats {
-        let mut stats: SystemStats = self.threads.iter().map(|t| t.stats).sum();
-        self.contention.fold_into(&mut stats);
-        crate::driver::fold_machine_counters(&self.machine, &mut stats);
-        stats
-    }
-
     /// Times the machine's criteria rejected a commit that TL2's own
     /// validation had accepted. Zero on every run ⇒ the read/write-set
     /// discipline soundly approximates the model's criteria.
@@ -307,6 +294,8 @@ impl Clone for Tl2System {
 }
 
 impl TmSystem for Tl2System {
+    type Spec = RwMem;
+
     fn tick(&mut self, tid: ThreadId) -> Result<Tick, MachineError> {
         tick_thread(
             &self.shared,
@@ -337,7 +326,19 @@ impl TmSystem for Tl2System {
         Some(self.contention.report())
     }
 
-    crate::driver::forward_machine_hooks!();
+    fn machine(&self) -> &Machine<RwMem> {
+        &self.machine
+    }
+
+    fn machine_mut(&mut self) -> &mut Machine<RwMem> {
+        &mut self.machine
+    }
+
+    fn stats(&self) -> SystemStats {
+        let mut stats: SystemStats = self.threads.iter().map(|t| t.stats).sum();
+        self.contention.fold_into(&mut stats);
+        stats.with_machine(&self.machine)
+    }
 }
 
 impl ParallelSystem for Tl2System {

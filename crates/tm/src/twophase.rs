@@ -200,19 +200,6 @@ impl TwoPhaseLocking {
             governors,
         }
     }
-
-    /// The underlying machine.
-    pub fn machine(&self) -> &Machine<RwMem> {
-        &self.machine
-    }
-
-    /// Accumulated statistics (summed over threads).
-    pub fn stats(&self) -> SystemStats {
-        let mut stats: SystemStats = self.threads.iter().map(|t| t.stats).sum();
-        self.contention.fold_into(&mut stats);
-        crate::driver::fold_machine_counters(&self.machine, &mut stats);
-        stats
-    }
 }
 
 impl Clone for TwoPhaseLocking {
@@ -230,6 +217,8 @@ impl Clone for TwoPhaseLocking {
 }
 
 impl TmSystem for TwoPhaseLocking {
+    type Spec = RwMem;
+
     fn tick(&mut self, tid: ThreadId) -> Result<Tick, MachineError> {
         tick_thread(
             &self.locks,
@@ -260,7 +249,19 @@ impl TmSystem for TwoPhaseLocking {
         Some(self.contention.report())
     }
 
-    crate::driver::forward_machine_hooks!();
+    fn machine(&self) -> &Machine<RwMem> {
+        &self.machine
+    }
+
+    fn machine_mut(&mut self) -> &mut Machine<RwMem> {
+        &mut self.machine
+    }
+
+    fn stats(&self) -> SystemStats {
+        let mut stats: SystemStats = self.threads.iter().map(|t| t.stats).sum();
+        self.contention.fold_into(&mut stats);
+        stats.with_machine(&self.machine)
+    }
 }
 
 impl ParallelSystem for TwoPhaseLocking {

@@ -42,21 +42,21 @@ fn main() {
     banner("map workload, contended (8 keys, 50% reads)");
     {
         let mut sys = BoostingSystem::new(KvMap::new(), base.kvmap_programs());
-        show(&run_reported(&mut sys, 1, 2_000_000, |s| s.stats(), |s| s.machine()).unwrap());
+        show(&run_reported(&mut sys, 1, 2_000_000).unwrap());
         let mut sys =
             OptimisticSystem::new(KvMap::new(), base.kvmap_programs(), ReadPolicy::Snapshot);
-        show(&run_reported(&mut sys, 1, 2_000_000, |s| s.stats(), |s| s.machine()).unwrap());
+        show(&run_reported(&mut sys, 1, 2_000_000).unwrap());
         let mut sys =
             OptimisticSystem::new(KvMap::new(), base.kvmap_programs(), ReadPolicy::Refresh);
-        show(&run_reported(&mut sys, 1, 2_000_000, |s| s.stats(), |s| s.machine()).unwrap());
+        show(&run_reported(&mut sys, 1, 2_000_000).unwrap());
         let mut sys = CheckpointOptimistic::new(KvMap::new(), base.kvmap_programs());
-        show(&run_reported(&mut sys, 1, 2_000_000, |s| s.stats(), |s| s.machine()).unwrap());
+        show(&run_reported(&mut sys, 1, 2_000_000).unwrap());
     }
 
     banner("map workload, disjoint keys per thread (boosting's home turf)");
     {
         let mut sys = BoostingSystem::new(KvMap::new(), base.kvmap_disjoint_programs());
-        let r = run_reported(&mut sys, 2, 2_000_000, |s| s.stats(), |s| s.machine()).unwrap();
+        let r = run_reported(&mut sys, 2, 2_000_000).unwrap();
         show(&r);
         assert_eq!(
             r.stats.aborts, 0,
@@ -67,7 +67,7 @@ fn main() {
             base.kvmap_disjoint_programs(),
             ReadPolicy::Snapshot,
         );
-        show(&run_reported(&mut sys, 2, 2_000_000, |s| s.stats(), |s| s.machine()).unwrap());
+        show(&run_reported(&mut sys, 2, 2_000_000).unwrap());
     }
 
     banner("read-mostly memory workload (90% reads — optimism's home turf)");
@@ -82,13 +82,13 @@ fn main() {
             read_mostly.rwmem_programs(),
             ReadPolicy::Snapshot,
         );
-        show(&run_reported(&mut sys, 3, 2_000_000, |s| s.stats(), |s| s.machine()).unwrap());
+        show(&run_reported(&mut sys, 3, 2_000_000).unwrap());
         let mut sys = MatveevShavitSystem::new(RwMem::new(), read_mostly.rwmem_programs());
-        show(&run_reported(&mut sys, 3, 2_000_000, |s| s.stats(), |s| s.machine()).unwrap());
+        show(&run_reported(&mut sys, 3, 2_000_000).unwrap());
         let mut sys = HtmSystem::new(read_mostly.rwmem_programs());
-        show(&run_reported(&mut sys, 3, 2_000_000, |s| s.stats(), |s| s.machine()).unwrap());
+        show(&run_reported(&mut sys, 3, 2_000_000).unwrap());
         let mut sys = Tl2System::new(read_mostly.rwmem_programs());
-        let r = run_reported(&mut sys, 3, 2_000_000, |s| s.stats(), |s| s.machine()).unwrap();
+        let r = run_reported(&mut sys, 3, 2_000_000).unwrap();
         assert_eq!(
             sys.criteria_surprises(),
             0,
@@ -96,7 +96,7 @@ fn main() {
         );
         show(&r);
         let mut sys = TwoPhaseLocking::new(read_mostly.rwmem_programs());
-        show(&run_reported(&mut sys, 3, 2_000_000, |s| s.stats(), |s| s.machine()).unwrap());
+        show(&run_reported(&mut sys, 3, 2_000_000).unwrap());
     }
 
     banner("write-heavy memory workload (10% reads)");
@@ -111,12 +111,12 @@ fn main() {
             write_heavy.rwmem_programs(),
             ReadPolicy::Snapshot,
         );
-        show(&run_reported(&mut sys, 4, 2_000_000, |s| s.stats(), |s| s.machine()).unwrap());
+        show(&run_reported(&mut sys, 4, 2_000_000).unwrap());
         let mut sys = MatveevShavitSystem::new(RwMem::new(), write_heavy.rwmem_programs());
-        let r = run_reported(&mut sys, 4, 2_000_000, |s| s.stats(), |s| s.machine()).unwrap();
+        let r = run_reported(&mut sys, 4, 2_000_000).unwrap();
         show(&r);
         let mut sys = HtmSystem::new(write_heavy.rwmem_programs());
-        show(&run_reported(&mut sys, 4, 2_000_000, |s| s.stats(), |s| s.machine()).unwrap());
+        show(&run_reported(&mut sys, 4, 2_000_000).unwrap());
     }
 
     println!("\nall runs complete; every run passed the serializability oracle.");

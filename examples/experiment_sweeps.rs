@@ -12,7 +12,7 @@ use pushpull::tm::checkpoint::CheckpointOptimistic;
 use pushpull::tm::optimistic::{OptimisticSystem, ReadPolicy};
 use pushpull::tm::pessimistic::MatveevShavitSystem;
 use pushpull::tm::tl2::Tl2System;
-use pushpull::tm::{BoostingSystem, HtmSystem};
+use pushpull::tm::{BoostingSystem, HtmSystem, TmSystem};
 
 const SEEDS: std::ops::RangeInclusive<u64> = 1..=10;
 const BUDGET: usize = 5_000_000;
@@ -40,7 +40,7 @@ fn main() {
             let out = run(&mut sys, &mut RandomSched::new(seed), BUDGET).unwrap();
             assert!(out.completed);
             assert!(check_machine(sys.machine()).is_serializable());
-            (sys.stats(), out.ticks)
+            (sys, out.ticks)
         })
     );
     println!(
@@ -54,7 +54,7 @@ fn main() {
             let out = run(&mut sys, &mut RandomSched::new(seed), BUDGET).unwrap();
             assert!(out.completed);
             assert!(check_machine(sys.machine()).is_serializable());
-            (sys.stats(), out.ticks)
+            (sys, out.ticks)
         })
     );
     println!(
@@ -68,7 +68,7 @@ fn main() {
             let out = run(&mut sys, &mut RandomSched::new(seed), BUDGET).unwrap();
             assert!(out.completed);
             assert!(check_machine(sys.machine()).is_serializable());
-            (sys.stats(), out.ticks)
+            (sys, out.ticks)
         })
     );
     println!(
@@ -78,7 +78,7 @@ fn main() {
             let out = run(&mut sys, &mut RandomSched::new(seed), BUDGET).unwrap();
             assert!(out.completed);
             assert!(check_machine(sys.machine()).is_serializable());
-            (sys.stats(), out.ticks)
+            (sys, out.ticks)
         })
     );
 
@@ -94,7 +94,7 @@ fn main() {
             let out = run(&mut sys, &mut RandomSched::new(seed), BUDGET).unwrap();
             assert!(out.completed);
             assert!(check_machine(sys.machine()).is_serializable());
-            (sys.stats(), out.ticks)
+            (sys, out.ticks)
         })
     );
     println!(
@@ -105,7 +105,7 @@ fn main() {
             assert!(out.completed);
             assert_eq!(sys.criteria_surprises(), 0);
             assert!(check_machine(sys.machine()).is_serializable());
-            (sys.stats(), out.ticks)
+            (sys, out.ticks)
         })
     );
     println!(
@@ -115,7 +115,7 @@ fn main() {
             let out = run(&mut sys, &mut RandomSched::new(seed), BUDGET).unwrap();
             assert!(out.completed);
             assert!(check_machine(sys.machine()).is_serializable());
-            (sys.stats(), out.ticks)
+            (sys, out.ticks)
         })
     );
     println!(
@@ -125,7 +125,7 @@ fn main() {
             let out = run(&mut sys, &mut RandomSched::new(seed), BUDGET).unwrap();
             assert!(out.completed);
             assert!(check_machine(sys.machine()).is_serializable());
-            (sys.stats(), out.ticks)
+            (sys, out.ticks)
         })
     );
 
@@ -146,7 +146,7 @@ fn main() {
             let out = run(&mut sys, &mut RandomSched::new(seed), BUDGET).unwrap();
             assert!(out.completed);
             assert!(check_machine(sys.machine()).is_serializable());
-            (sys.stats(), out.ticks)
+            (sys, out.ticks)
         })
     );
     println!(
@@ -156,7 +156,7 @@ fn main() {
             let out = run(&mut sys, &mut RandomSched::new(seed), BUDGET).unwrap();
             assert!(out.completed);
             assert_eq!(sys.criteria_surprises(), 0);
-            (sys.stats(), out.ticks)
+            (sys, out.ticks)
         })
     );
     println!(
@@ -165,7 +165,7 @@ fn main() {
             let mut sys = HtmSystem::new(write_heavy.rwmem_programs());
             let out = run(&mut sys, &mut RandomSched::new(seed), BUDGET).unwrap();
             assert!(out.completed);
-            (sys.stats(), out.ticks)
+            (sys, out.ticks)
         })
     );
 

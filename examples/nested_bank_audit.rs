@@ -30,6 +30,7 @@ use pushpull::core::lang::Code;
 use pushpull::core::machine::Machine;
 use pushpull::core::serializability::check_machine_nested;
 use pushpull::core::spec::SeqSpec;
+use pushpull::core::Metric;
 use pushpull::spec::bank::{Bank, BankMethod};
 
 const FROM: u32 = 0;
@@ -82,10 +83,11 @@ fn main() {
     let report = check_machine_nested(&m);
     assert!(report.is_serializable(), "{report}");
     assert_eq!(closed_txns, 2, "closed child merged into the transfer");
-    let stats = m.nesting_stats();
+    let stats = m.metrics();
     println!(
         "                 scopes opened={} merged={}",
-        stats.scopes_opened, stats.scopes_merged
+        stats[Metric::ScopesOpened],
+        stats[Metric::ScopesMerged]
     );
 
     // 2. Open: the record commits mid-transfer as its own transaction.
@@ -128,7 +130,7 @@ fn main() {
     println!("                 balances after compensation: {state:?}");
     assert_eq!(state.get(&FROM), Some(&100));
     assert_eq!(state.get(&LOG), None, "canonical: zero balance not stored");
-    assert_eq!(m.nesting_stats().compensations_replayed, 1);
+    assert_eq!(m.metrics()[Metric::Compensations], 1);
     // Let the retried transfer finish. The first attempt's record was
     // compensated away, so the log holds exactly one record again —
     // the successful attempt's.
@@ -150,15 +152,21 @@ fn main() {
     let batch = Code::seq(Code::tx(transfer(Code::otx)), Code::tx(transfer(Code::otx)));
     let m = run_transfer(batch);
     let batch_txns = m.committed_txns().len();
-    let stats = m.nesting_stats();
+    let stats = m.metrics();
     println!(
         "batch job:       {batch_txns} committed transactions, \
          scopes opened={} merged={} open commits={}",
-        stats.scopes_opened, stats.scopes_merged, stats.open_commits
+        stats[Metric::ScopesOpened],
+        stats[Metric::ScopesMerged],
+        stats[Metric::OpenCommits]
     );
     assert_eq!(batch_txns, 4, "funder + two records + the batch");
-    assert_eq!(stats.scopes_merged, 2, "both closed transfers merged");
-    assert_eq!(stats.open_commits, 2, "both records committed open");
+    assert_eq!(
+        stats[Metric::ScopesMerged],
+        2,
+        "both closed transfers merged"
+    );
+    assert_eq!(stats[Metric::OpenCommits], 2, "both records committed open");
     let report = check_machine_nested(&m);
     assert!(report.is_serializable(), "{report}");
     let states = spec.denote(&m.global().committed_ops());

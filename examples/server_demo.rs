@@ -15,6 +15,7 @@ use pushpull::core::spec::SeqSpec;
 use pushpull::harness::{run, RoundRobin};
 use pushpull::server::{ServerConfig, SessionScript, TxnServer};
 use pushpull::spec::bank::{Bank, BankMethod, BankRet};
+use pushpull::tm::TmSystem;
 
 const ACCOUNTS: u32 = 8;
 const SEED_MONEY: i64 = 100;
@@ -65,15 +66,16 @@ fn main() {
     }
 
     let stats = server.stats();
+    let group = server.machine().group_stats();
     println!("\n=== server statistics ===");
     println!("sessions        {}", stats.sessions);
     println!("commits         {}", stats.commits);
     println!("aborts          {}", stats.aborts);
     println!("lock acquires   {}", stats.lock_acquires);
-    println!("group batches   {}", stats.group_batches);
-    println!("batched txns    {}", stats.group_txns);
-    println!("locks saved     {}", stats.group_locks_saved);
-    println!("batch-size hist {:?}", stats.group_hist);
+    println!("group batches   {}", group.batches);
+    println!("batched txns    {}", group.batched_txns);
+    println!("locks saved     {}", group.locks_saved);
+    println!("batch-size hist {:?}", group.size_hist);
     println!(
         "locks/commit    {:.3}",
         stats.lock_acquires as f64 / stats.commits.max(1) as f64
@@ -81,7 +83,7 @@ fn main() {
 
     assert_eq!(stats.sessions as usize, total_sessions);
     assert_eq!(stats.commits, u64::from(ACCOUNTS + TRANSFERS));
-    assert!(stats.group_batches > 0, "group commit never batched");
+    assert!(group.batches > 0, "group commit never batched");
 
     let report = check_machine(server.machine());
     println!("\nserializability oracle: {report}");

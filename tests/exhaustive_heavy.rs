@@ -13,6 +13,7 @@ use pushpull::spec::kvmap::{KvMap, MapMethod};
 use pushpull::spec::rwmem::{Loc, MemMethod, RwMem};
 use pushpull::tm::optimistic::{OptimisticSystem, ReadPolicy};
 use pushpull::tm::BoostingSystem;
+use pushpull::tm::TmSystem;
 
 #[test]
 #[ignore = "heavy: minutes of exhaustive exploration"]

@@ -32,11 +32,10 @@ use std::sync::Arc;
 use pushpull::core::error::Rule;
 use pushpull::core::faults::{FaultHook, FaultKind, ALL_FAULT_KINDS, ALL_TRANSPORT_FAULT_KINDS};
 use pushpull::core::lang::Code;
-use pushpull::core::machine::Machine;
 use pushpull::core::op::ThreadId;
 use pushpull::core::serializability::check_machine;
 use pushpull::core::spec::SeqSpec;
-use pushpull::core::TransportConfig;
+use pushpull::core::{Metric, TransportConfig};
 use pushpull::harness::testutil::{assert_chaos_cell, assert_injection_accounted};
 use pushpull::harness::{run, FaultPlan, RandomSched, RoundRobin};
 use pushpull::spec::counter::{Counter, CtrMethod};
@@ -79,15 +78,9 @@ fn matrix_kinds() -> impl Iterator<Item = FaultKind> {
 /// [`assert_chaos_cell`] loop. Transport-fault rows first install the
 /// channel transport (the only path that consults the transport fault
 /// hook) and afterwards assert its envelope counters actually moved.
-fn chaos<T, Sp>(
-    label: &str,
-    sys: T,
-    kind: FaultKind,
-    seed: u64,
-    expect_opaque: bool,
-    machine: impl Fn(&T) -> &Machine<Sp>,
-) where
-    T: TmSystem,
+fn chaos<T, Sp>(label: &str, sys: T, kind: FaultKind, seed: u64, expect_opaque: bool)
+where
+    T: TmSystem<Spec = Sp>,
     Sp: SeqSpec + Send + Sync + 'static,
     Sp::Method: Send + Sync + 'static,
     Sp::Ret: Send + Sync + 'static,
@@ -97,18 +90,22 @@ fn chaos<T, Sp>(
     let plan = Arc::new(FaultPlan::seeded(seed, n, kind));
     let transport_row = ALL_TRANSPORT_FAULT_KINDS.contains(&kind);
     if transport_row {
-        machine(&sys).set_channel_transport(TransportConfig::default());
+        sys.machine()
+            .set_channel_transport(TransportConfig::default());
     }
     let cell = format!("{label}/{kind}");
-    let sys = assert_chaos_cell(&cell, sys, &plan, seed, BUDGET, expect_opaque, &machine);
+    let sys = assert_chaos_cell(&cell, sys, &plan, seed, BUDGET, expect_opaque);
     if transport_row {
-        let t = machine(&sys).transport_stats();
-        assert!(t.requests > 0, "{cell}/seed {seed}: no transport requests");
+        let t = sys.machine().metrics();
+        assert!(
+            t[Metric::TransportRequests] > 0,
+            "{cell}/seed {seed}: no transport requests"
+        );
         // Every fired delivery fault except a duplicate (whose first
         // reply still lands in time) must show up as a missed deadline.
         if plan.fired_total() > 0 && kind != FaultKind::DuplicateRequest {
             assert!(
-                t.timeouts > 0,
+                t[Metric::TransportTimeouts] > 0,
                 "{cell}/seed {seed}: faults fired but the envelope recorded no timeouts"
             );
         }
@@ -128,7 +125,7 @@ fn chaos_matrix_boosting() {
                 })
                 .collect();
             let sys = BoostingSystem::new(KvMap::new(), programs);
-            chaos("boosting", sys, kind, seed, false, |s| s.machine());
+            chaos("boosting", sys, kind, seed, false);
         }
     }
 }
@@ -139,7 +136,7 @@ fn chaos_matrix_optimistic() {
         for seed in SEEDS {
             let programs = vec![rmw(0, 1), rmw(1, 2), rmw(0, 3)];
             let sys = OptimisticSystem::new(RwMem::new(), programs, ReadPolicy::Snapshot);
-            chaos("optimistic", sys, kind, seed, true, |s| s.machine());
+            chaos("optimistic", sys, kind, seed, true);
         }
     }
 }
@@ -150,7 +147,7 @@ fn chaos_matrix_pessimistic() {
         for seed in SEEDS {
             let programs = vec![rmw(0, 1), rmw(0, 2), rmw(1, 3)];
             let sys = MatveevShavitSystem::new(RwMem::new(), programs);
-            chaos("pessimistic", sys, kind, seed, true, |s| s.machine());
+            chaos("pessimistic", sys, kind, seed, true);
         }
     }
 }
@@ -160,7 +157,7 @@ fn chaos_matrix_tl2() {
     for kind in matrix_kinds() {
         for seed in SEEDS {
             let sys = Tl2System::new(vec![rmw(0, 1), rmw(1, 2), rmw(0, 3)]);
-            chaos("tl2", sys, kind, seed, false, |s| s.machine());
+            chaos("tl2", sys, kind, seed, false);
         }
     }
 }
@@ -171,7 +168,7 @@ fn chaos_matrix_twophase() {
         for seed in SEEDS {
             let read0 = || vec![Code::method(MemMethod::Read(Loc(0)))];
             let sys = TwoPhaseLocking::new(vec![read0(), rmw(0, 7), rmw(1, 8)]);
-            chaos("twophase", sys, kind, seed, false, |s| s.machine());
+            chaos("twophase", sys, kind, seed, false);
         }
     }
 }
@@ -181,7 +178,7 @@ fn chaos_matrix_htm() {
     for kind in matrix_kinds() {
         for seed in SEEDS {
             let sys = HtmSystem::new(vec![rmw(0, 1), rmw(1, 2), rmw(0, 3)]);
-            chaos("htm", sys, kind, seed, true, |s| s.machine());
+            chaos("htm", sys, kind, seed, true);
         }
     }
 }
@@ -192,7 +189,7 @@ fn chaos_matrix_irrevocable() {
         for seed in SEEDS {
             let programs = vec![rmw(0, 10), rmw(0, 20), rmw(1, 30)];
             let sys = IrrevocableSystem::new(RwMem::new(), programs, ThreadId(0));
-            chaos("irrevocable", sys, kind, seed, false, |s| s.machine());
+            chaos("irrevocable", sys, kind, seed, false);
         }
     }
 }
@@ -210,7 +207,7 @@ fn chaos_matrix_checkpoint() {
             };
             let sys =
                 CheckpointOptimistic::new(RwMem::new(), vec![prog(0, 1), prog(0, 2), prog(1, 3)]);
-            chaos("checkpoint", sys, kind, seed, false, |s| s.machine());
+            chaos("checkpoint", sys, kind, seed, false);
         }
     }
 }
@@ -228,7 +225,7 @@ fn chaos_matrix_dependent() {
                 })
                 .collect();
             let sys = DependentSystem::new(Counter::new(), programs, true);
-            chaos("dependent", sys, kind, seed, false, |s| s.machine());
+            chaos("dependent", sys, kind, seed, false);
         }
     }
 }
@@ -248,7 +245,7 @@ fn chaos_matrix_mixed() {
                 })
                 .collect();
             let sys = MixedSystem::new(mixed_spec(), programs);
-            chaos("mixed", sys, kind, seed, false, |s| s.machine());
+            chaos("mixed", sys, kind, seed, false);
         }
     }
 }

@@ -14,6 +14,7 @@ use pushpull::spec::set::SetMethod;
 use pushpull::tm::mixed::{methods, mixed_spec};
 use pushpull::tm::optimistic::{OptimisticSystem, ReadPolicy};
 use pushpull::tm::BoostingSystem;
+use pushpull::tm::TmSystem;
 
 /// Figure 7, scripted, with the golden rendering.
 #[test]

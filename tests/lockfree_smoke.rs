@@ -18,6 +18,7 @@
 use pushpull::core::lang::Code;
 use pushpull::core::machine::Machine;
 use pushpull::core::toy::{CounterMethod, ToyCounter};
+use pushpull::core::Metric;
 use pushpull::spec::kvmap::{KvMap, MapMethod};
 use pushpull::spec::rwmem::{Loc, MemMethod, RwMem};
 
@@ -42,8 +43,9 @@ const TB: pushpull::core::op::ThreadId = pushpull::core::op::ThreadId(1);
 fn readonly_disjoint_check_takes_zero_locks() {
     let (m, op) = disjoint_setup(MemMethod::Read(Loc(1)));
 
-    let (acq_before, _) = m.lock_stats();
-    let (reads_before, _, fb_before) = m.seqlock_stats();
+    let acq_before = m.metrics()[Metric::LockAcquires];
+    let reads_before = m.metrics()[Metric::SnapReads];
+    let fb_before = m.metrics()[Metric::SnapFallbacks];
     let audit_before = m.audit();
     for _ in 0..100 {
         assert!(
@@ -51,8 +53,9 @@ fn readonly_disjoint_check_takes_zero_locks() {
             "disjoint read is pushable"
         );
     }
-    let (acq_after, _) = m.lock_stats();
-    let (reads_after, _, fb_after) = m.seqlock_stats();
+    let acq_after = m.metrics()[Metric::LockAcquires];
+    let reads_after = m.metrics()[Metric::SnapReads];
+    let fb_after = m.metrics()[Metric::SnapFallbacks];
 
     assert_eq!(
         acq_after, acq_before,
@@ -75,11 +78,13 @@ fn readonly_disjoint_check_takes_zero_locks() {
 fn disjoint_push_locks_only_for_the_append() {
     let (mut m, op) = disjoint_setup(MemMethod::Write(Loc(1), 9));
 
-    let (acq_before, _) = m.lock_stats();
-    let (reads_before, _, fb_before) = m.seqlock_stats();
+    let acq_before = m.metrics()[Metric::LockAcquires];
+    let reads_before = m.metrics()[Metric::SnapReads];
+    let fb_before = m.metrics()[Metric::SnapFallbacks];
     m.push(TB, op).expect("push B");
-    let (acq_after, _) = m.lock_stats();
-    let (reads_after, _, fb_after) = m.seqlock_stats();
+    let acq_after = m.metrics()[Metric::LockAcquires];
+    let reads_after = m.metrics()[Metric::SnapReads];
+    let fb_after = m.metrics()[Metric::SnapFallbacks];
 
     assert_eq!(
         acq_after,
@@ -146,11 +151,11 @@ fn sticky_coarse_disables_the_fast_path_without_changing_verdicts() {
     m.commit(ta).expect("commit size");
 
     let put = m.app_auto(tb).expect("app put");
-    let (acq_before, _) = m.lock_stats();
-    let (reads_before, _, _) = m.seqlock_stats();
+    let acq_before = m.metrics()[Metric::LockAcquires];
+    let reads_before = m.metrics()[Metric::SnapReads];
     assert!(m.can_push(tb, put).expect("well-formed op"));
-    let (acq_after, _) = m.lock_stats();
-    let (reads_after, _, _) = m.seqlock_stats();
+    let acq_after = m.metrics()[Metric::LockAcquires];
+    let reads_after = m.metrics()[Metric::SnapReads];
 
     assert!(
         acq_after > acq_before,

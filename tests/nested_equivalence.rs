@@ -22,6 +22,7 @@ use pushpull::core::machine::Machine;
 use pushpull::core::op::ThreadId;
 use pushpull::core::serializability::check_machine_nested;
 use pushpull::core::spec::SeqSpec;
+use pushpull::core::Metric;
 use pushpull::harness::testutil::assert_ledger_matches;
 use pushpull::harness::{run, RoundRobin};
 use pushpull::spec::bank::{Bank, BankMethod, BankState};
@@ -64,22 +65,21 @@ fn golden<T, Sp>(
     label: &str,
     mut sys: T,
     shards: usize,
-    machine: impl Fn(&T) -> &Machine<Sp>,
 ) -> (u64, String, pushpull::core::audit::CriteriaAudit, u64)
 where
-    T: TmSystem,
+    T: TmSystem<Spec = Sp>,
     Sp: SeqSpec,
     Sp::Method: std::fmt::Display,
 {
-    sys.set_log_shards(shards);
+    sys.machine_mut().set_log_shards(shards);
     let out = run(&mut sys, &mut RoundRobin, BUDGET)
         .unwrap_or_else(|e| panic!("{label}@{shards}: machine error: {e}"));
     assert!(out.completed, "{label}@{shards}: wedged");
-    let m = machine(&sys);
+    let m = sys.machine();
     let report = check_machine_nested(m);
     assert!(report.is_serializable(), "{label}@{shards}: {report}");
     let commits = m.committed_txns().len() as u64;
-    let opened = m.nesting_stats().scopes_opened;
+    let opened = m.metrics()[Metric::ScopesOpened];
     (commits, m.trace().render(), m.audit(), opened)
 }
 
@@ -88,15 +88,14 @@ where
 fn assert_nested_equivalence<T, Sp>(
     label: &str,
     make: impl Fn(fn(Vec<Code<Sp::Method>>) -> Code<Sp::Method>) -> T,
-    machine: impl Fn(&T) -> &Machine<Sp> + Copy,
 ) where
-    T: TmSystem,
+    T: TmSystem<Spec = Sp>,
     Sp: SeqSpec,
     Sp::Method: std::fmt::Display,
 {
     for shards in SHARD_COUNTS {
-        let (fc, ft, fa, fo) = golden(label, make(flat), shards, machine);
-        let (nc, nt, na, no) = golden(label, make(nested), shards, machine);
+        let (fc, ft, fa, fo) = golden(label, make(flat), shards);
+        let (nc, nt, na, no) = golden(label, make(nested), shards);
         // Drivers may open scopes of their own (checkpointing), so the
         // baseline need not be zero — but the tx markers must add some.
         assert!(no > fo, "{label}@{shards}: nested run never entered its tx");
@@ -117,14 +116,10 @@ fn boosting_nesting_is_verdict_equivalent() {
             Code::method(MapMethod::Get((t + 1) % 4)),
         ]
     };
-    assert_nested_equivalence(
-        "boosting/kvmap",
-        move |wrap| {
-            let programs = (0..8u64).map(|t| vec![wrap(body(t))]).collect();
-            BoostingSystem::new(KvMap::new(), programs)
-        },
-        |s| s.machine(),
-    );
+    assert_nested_equivalence("boosting/kvmap", move |wrap| {
+        let programs = (0..8u64).map(|t| vec![wrap(body(t))]).collect();
+        BoostingSystem::new(KvMap::new(), programs)
+    });
 }
 
 #[test]
@@ -135,28 +130,20 @@ fn optimistic_nesting_is_verdict_equivalent() {
             Code::method(MemMethod::Write(Loc(t % 2), i64::from(t))),
         ]
     };
-    assert_nested_equivalence(
-        "optimistic/rwmem",
-        move |wrap| {
-            let programs = (0..6u32).map(|t| vec![wrap(body(t))]).collect();
-            OptimisticSystem::new(RwMem::new(), programs, ReadPolicy::Snapshot)
-        },
-        |s| s.machine(),
-    );
+    assert_nested_equivalence("optimistic/rwmem", move |wrap| {
+        let programs = (0..6u32).map(|t| vec![wrap(body(t))]).collect();
+        OptimisticSystem::new(RwMem::new(), programs, ReadPolicy::Snapshot)
+    });
 }
 
 #[test]
 fn pessimistic_nesting_is_verdict_equivalent() {
-    assert_nested_equivalence(
-        "pessimistic/rwmem",
-        |wrap| {
-            let programs = (1..=4i64)
-                .map(|v| vec![wrap(vec![Code::method(MemMethod::Write(Loc(0), v))])])
-                .collect();
-            MatveevShavitSystem::new(RwMem::new(), programs)
-        },
-        |s| s.machine(),
-    );
+    assert_nested_equivalence("pessimistic/rwmem", |wrap| {
+        let programs = (1..=4i64)
+            .map(|v| vec![wrap(vec![Code::method(MemMethod::Write(Loc(0), v))])])
+            .collect();
+        MatveevShavitSystem::new(RwMem::new(), programs)
+    });
 }
 
 fn rmw(l: u32, v: i64) -> Vec<Code<MemMethod>> {
@@ -168,64 +155,48 @@ fn rmw(l: u32, v: i64) -> Vec<Code<MemMethod>> {
 
 #[test]
 fn tl2_nesting_is_verdict_equivalent() {
-    assert_nested_equivalence(
-        "tl2/rwmem",
-        |wrap| {
-            let programs = [(0, 1), (1, 2), (0, 3), (1, 4)]
-                .into_iter()
-                .map(|(l, v)| vec![wrap(rmw(l, v))])
-                .collect();
-            Tl2System::new(programs)
-        },
-        |s| s.machine(),
-    );
+    assert_nested_equivalence("tl2/rwmem", |wrap| {
+        let programs = [(0, 1), (1, 2), (0, 3), (1, 4)]
+            .into_iter()
+            .map(|(l, v)| vec![wrap(rmw(l, v))])
+            .collect();
+        Tl2System::new(programs)
+    });
 }
 
 #[test]
 fn twophase_nesting_is_verdict_equivalent() {
-    assert_nested_equivalence(
-        "2pl/rwmem",
-        |wrap| {
-            let read0 = vec![Code::method(MemMethod::Read(Loc(0)))];
-            TwoPhaseLocking::new(vec![
-                vec![wrap(read0.clone())],
-                vec![wrap(read0)],
-                vec![wrap(rmw(1, 7))],
-                vec![wrap(rmw(1, 8))],
-            ])
-        },
-        |s| s.machine(),
-    );
+    assert_nested_equivalence("2pl/rwmem", |wrap| {
+        let read0 = vec![Code::method(MemMethod::Read(Loc(0)))];
+        TwoPhaseLocking::new(vec![
+            vec![wrap(read0.clone())],
+            vec![wrap(read0)],
+            vec![wrap(rmw(1, 7))],
+            vec![wrap(rmw(1, 8))],
+        ])
+    });
 }
 
 #[test]
 fn htm_nesting_is_verdict_equivalent() {
-    assert_nested_equivalence(
-        "htm/rwmem",
-        |wrap| {
-            let programs = [(0, 1), (1, 2), (0, 3), (2, 4)]
-                .into_iter()
-                .map(|(l, v)| vec![wrap(rmw(l, v))])
-                .collect();
-            HtmSystem::new(programs)
-        },
-        |s| s.machine(),
-    );
+    assert_nested_equivalence("htm/rwmem", |wrap| {
+        let programs = [(0, 1), (1, 2), (0, 3), (2, 4)]
+            .into_iter()
+            .map(|(l, v)| vec![wrap(rmw(l, v))])
+            .collect();
+        HtmSystem::new(programs)
+    });
 }
 
 #[test]
 fn irrevocable_nesting_is_verdict_equivalent() {
-    assert_nested_equivalence(
-        "irrevocable/rwmem",
-        |wrap| {
-            let programs = [(0, 10), (0, 20), (1, 30), (0, 40)]
-                .into_iter()
-                .map(|(l, v)| vec![wrap(rmw(l, v))])
-                .collect();
-            IrrevocableSystem::new(RwMem::new(), programs, ThreadId(0))
-        },
-        |s| s.machine(),
-    );
+    assert_nested_equivalence("irrevocable/rwmem", |wrap| {
+        let programs = [(0, 10), (0, 20), (1, 30), (0, 40)]
+            .into_iter()
+            .map(|(l, v)| vec![wrap(rmw(l, v))])
+            .collect();
+        IrrevocableSystem::new(RwMem::new(), programs, ThreadId(0))
+    });
 }
 
 #[test]
@@ -239,17 +210,13 @@ fn checkpoint_nesting_is_verdict_equivalent() {
             Code::method(MemMethod::Write(Loc(l), v)),
         ]
     };
-    assert_nested_equivalence(
-        "checkpoint/rwmem",
-        move |wrap| {
-            let programs = [(0, 1), (0, 2), (1, 3), (1, 4)]
-                .into_iter()
-                .map(|(l, v)| vec![wrap(body(l, v))])
-                .collect();
-            CheckpointOptimistic::new(RwMem::new(), programs)
-        },
-        |s| s.machine(),
-    );
+    assert_nested_equivalence("checkpoint/rwmem", move |wrap| {
+        let programs = [(0, 1), (0, 2), (1, 3), (1, 4)]
+            .into_iter()
+            .map(|(l, v)| vec![wrap(body(l, v))])
+            .collect();
+        CheckpointOptimistic::new(RwMem::new(), programs)
+    });
 }
 
 #[test]
@@ -260,14 +227,10 @@ fn dependent_nesting_is_verdict_equivalent() {
             Code::method(CtrMethod::Get),
         ]
     };
-    assert_nested_equivalence(
-        "dependent/counter",
-        move |wrap| {
-            let programs = (0..4i64).map(|t| vec![wrap(body(t))]).collect();
-            DependentSystem::new(Counter::new(), programs, true)
-        },
-        |s| s.machine(),
-    );
+    assert_nested_equivalence("dependent/counter", move |wrap| {
+        let programs = (0..4i64).map(|t| vec![wrap(body(t))]).collect();
+        DependentSystem::new(Counter::new(), programs, true)
+    });
 }
 
 #[test]
@@ -280,14 +243,10 @@ fn mixed_nesting_is_verdict_equivalent() {
             Code::method(methods::mem(MemMethod::Write(Loc((t % 2) as u32), 1))),
         ]
     };
-    assert_nested_equivalence(
-        "mixed/product",
-        move |wrap| {
-            let programs = (0..4u64).map(|t| vec![wrap(body(t))]).collect();
-            MixedSystem::new(mixed_spec(), programs)
-        },
-        |s| s.machine(),
-    );
+    assert_nested_equivalence("mixed/product", move |wrap| {
+        let programs = (0..4u64).map(|t| vec![wrap(body(t))]).collect();
+        MixedSystem::new(mixed_spec(), programs)
+    });
 }
 
 // ---------------------------------------------------------------------
@@ -312,7 +271,7 @@ fn open_abort_compensation_restores_exact_state() {
     // the initial state — as if the child had never run.
     m.abort_and_retry(t).unwrap();
     assert_eq!(m.committed_txns().len(), 2, "compensation committed");
-    assert_eq!(m.nesting_stats().compensations_replayed, 1);
+    assert_eq!(m.metrics()[Metric::Compensations], 1);
     let committed = m.global().committed_ops();
     let mut states = spec.denote(&committed).into_iter();
     let state = states.next().expect("committed projection denotes");

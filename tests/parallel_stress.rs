@@ -19,6 +19,7 @@ use pushpull::spec::rwmem::{Loc, MemMethod, RwMem};
 use pushpull::spec::set::SetMethod;
 use pushpull::tm::mixed::{methods, mixed_spec};
 use pushpull::tm::optimistic::ReadPolicy;
+use pushpull::tm::TmSystem;
 use pushpull::tm::{
     BoostingSystem, CheckpointOptimistic, DependentSystem, HtmSystem, IrrevocableSystem,
     MatveevShavitSystem, MixedSystem, OptimisticSystem, Tl2System, TwoPhaseLocking,

@@ -13,8 +13,8 @@
 //!
 //! Riding along:
 //!
-//! * the driver-facing `service_commit_group` seam contract (forwarded
-//!   by every machine-backed driver, validated end-to-end on a raw
+//! * the driver-facing `commit_group` seam contract (reached through
+//!   every driver's `machine_mut()`, validated end-to-end on a raw
 //!   machine);
 //! * the server's chaos rows: every transport fault kind through the
 //!   whole session loop under a seeded random scheduler, with exact
@@ -35,6 +35,7 @@ use pushpull::core::machine::Machine;
 use pushpull::core::op::ThreadId;
 use pushpull::core::serializability::check_machine;
 use pushpull::core::spec::SeqSpec;
+use pushpull::core::Metric;
 use pushpull::core::{FallbackMode, GroupTxnResult, SeededBackoff, TransportConfig};
 use pushpull::harness::testutil::{
     assert_chaos_cell, assert_injection_accounted, assert_ledger_matches,
@@ -91,7 +92,7 @@ where
             ..ServerConfig::default()
         },
     );
-    sys.set_log_shards(shards);
+    sys.machine_mut().set_log_shards(shards);
     let which = if group { "group" } else { "single" };
     let out = run(&mut sys, &mut RoundRobin, BUDGET)
         .unwrap_or_else(|e| panic!("{label}@{shards}/{which}: machine error: {e}"));
@@ -103,7 +104,8 @@ where
     );
     if !group {
         assert_eq!(
-            stats.group_batches, 0,
+            sys.machine().group_stats().batches,
+            0,
             "{label}@{shards}/{which}: batching disabled but batches sealed"
         );
     }
@@ -301,8 +303,8 @@ fn abort_mix_group_equivalent() {
     });
 }
 
-/// The driver-facing commit seam: every machine-backed driver forwards
-/// `service_commit_group`, idle threads report back `Ineligible` for the
+/// The driver-facing commit seam: every driver hands out its machine's
+/// `commit_group`, idle threads report back `Ineligible` for the
 /// caller's per-transaction fallback, malformed batches error, and on a
 /// raw machine the same entry point really does commit a multi-thread
 /// batch under one acquisition.
@@ -314,25 +316,25 @@ fn service_commit_seam_contract() {
         vec![vec![Code::method(MapMethod::Put(0, 1))], vec![]],
     );
     let out = sys
-        .service_commit_group(&[])
-        .expect("machine-backed drivers forward the seam")
+        .machine_mut()
+        .commit_group(&[])
         .expect("empty batch is not an error");
     assert!(out.results.is_empty());
     assert_eq!(out.batches, 0);
-    let out = sys.service_commit_group(&[ThreadId(0)]).unwrap().unwrap();
+    let out = sys.machine_mut().commit_group(&[ThreadId(0)]).unwrap();
     assert!(
         matches!(out.results[..], [(ThreadId(0), GroupTxnResult::Ineligible)]),
         "a thread with nothing applied must fall back, got {:?}",
         out.results
     );
     assert!(
-        sys.service_commit_group(&[ThreadId(0), ThreadId(0)])
-            .unwrap()
+        sys.machine_mut()
+            .commit_group(&[ThreadId(0), ThreadId(0)])
             .is_err(),
         "duplicate tids must be rejected"
     );
     assert!(
-        sys.service_commit_group(&[ThreadId(9)]).unwrap().is_err(),
+        sys.machine_mut().commit_group(&[ThreadId(9)]).is_err(),
         "out-of-range tids must be rejected"
     );
 
@@ -343,14 +345,14 @@ fn service_commit_seam_contract() {
     let t1 = m.add_thread(vec![Code::method(MapMethod::Put(1, 20))]);
     m.app_auto(t0).unwrap();
     m.app_auto(t1).unwrap();
-    let (before, _) = m.lock_stats();
+    let before = m.metrics()[Metric::LockAcquires];
     let out = m.commit_group(&[t0, t1]).unwrap();
     assert!(out
         .results
         .iter()
         .all(|(_, r)| matches!(r, GroupTxnResult::Committed(_))));
     assert_eq!((out.batches, out.batched_txns), (1, 2));
-    let (after, _) = m.lock_stats();
+    let after = m.metrics()[Metric::LockAcquires];
     assert_eq!(after - before, 1, "a 2-txn batch takes the lock once");
     assert_eq!(m.committed_txns().len(), 2);
     assert!(check_machine(&m).is_serializable());
@@ -388,14 +390,17 @@ fn server_chaos_transport_matrix() {
             sys.machine()
                 .set_channel_transport(TransportConfig::default());
             let cell = format!("server/{kind}");
-            let sys = assert_chaos_cell(&cell, sys, &plan, seed, BUDGET, false, |s| s.machine());
+            let sys = assert_chaos_cell(&cell, sys, &plan, seed, BUDGET, false);
             assert_eq!(
                 sys.stats().sessions as usize,
                 expected,
                 "{cell}/seed {seed}: sessions lost under faults"
             );
-            let t = sys.machine().transport_stats();
-            assert!(t.requests > 0, "{cell}/seed {seed}: no transport requests");
+            let t = sys.machine().metrics();
+            assert!(
+                t[Metric::TransportRequests] > 0,
+                "{cell}/seed {seed}: no transport requests"
+            );
         }
     }
 }
@@ -417,7 +422,7 @@ fn persistent_partition_fails_every_session_clean() {
             ..ServerConfig::default()
         },
     );
-    sys.set_log_shards(1);
+    sys.machine_mut().set_log_shards(1);
     sys.machine().set_channel_transport(TransportConfig {
         max_retries: 1,
         deadline: Duration::from_secs(5),
@@ -485,8 +490,9 @@ fn ten_thousand_sessions_multiplex() {
         stats.lock_acquires,
         stats.commits
     );
-    assert!(stats.group_batches > 0);
-    assert_eq!(stats.group_txns, SESSIONS, "every commit should batch");
+    let group = sys.machine().group_stats();
+    assert!(group.batches > 0);
+    assert_eq!(group.batched_txns, SESSIONS, "every commit should batch");
     let outcomes = sys.outcomes();
     assert_eq!(outcomes.len(), SESSIONS as usize);
     // Sorted, dense, and all committed.

@@ -19,7 +19,6 @@
 //! outcome.
 
 use pushpull::core::lang::Code;
-use pushpull::core::machine::Machine;
 use pushpull::core::op::ThreadId;
 use pushpull::core::serializability::check_machine;
 use pushpull::core::spec::SeqSpec;
@@ -47,18 +46,17 @@ fn golden<T, Sp>(
     label: &str,
     mut sys: T,
     shards: usize,
-    machine: impl Fn(&T) -> &Machine<Sp>,
 ) -> (u64, String, pushpull::core::audit::CriteriaAudit)
 where
-    T: TmSystem,
+    T: TmSystem<Spec = Sp>,
     Sp: SeqSpec,
     Sp::Method: std::fmt::Display,
 {
-    sys.set_log_shards(shards);
+    sys.machine_mut().set_log_shards(shards);
     let out = run(&mut sys, &mut RoundRobin, BUDGET)
         .unwrap_or_else(|e| panic!("{label}@{shards}: machine error: {e}"));
     assert!(out.completed, "{label}@{shards}: wedged");
-    let m = machine(&sys);
+    let m = sys.machine();
     assert_eq!(
         m.log_shards(),
         shards.max(1),
@@ -72,18 +70,15 @@ where
 
 /// Drives `make()`'s system at every shard count and asserts the
 /// equivalence against the single-shard baseline.
-fn assert_shard_equivalence<T, Sp>(
-    label: &str,
-    make: impl Fn() -> T,
-    machine: impl Fn(&T) -> &Machine<Sp> + Copy,
-) where
-    T: TmSystem,
+fn assert_shard_equivalence<T, Sp>(label: &str, make: impl Fn() -> T)
+where
+    T: TmSystem<Spec = Sp>,
     Sp: SeqSpec,
     Sp::Method: std::fmt::Display,
 {
-    let (base_commits, base_trace, base_audit) = golden(label, make(), 1, machine);
+    let (base_commits, base_trace, base_audit) = golden(label, make(), 1);
     for shards in SHARD_COUNTS {
-        let (commits, trace, audit) = golden(label, make(), shards, machine);
+        let (commits, trace, audit) = golden(label, make(), shards);
         assert_eq!(commits, base_commits, "{label}@{shards}: commits diverge");
         assert_eq!(
             trace, base_trace,
@@ -105,11 +100,9 @@ fn boosting_sharding_is_verdict_equivalent() {
             })
             .collect::<Vec<_>>()
     };
-    assert_shard_equivalence(
-        "boosting/kvmap",
-        || BoostingSystem::new(KvMap::new(), programs()),
-        |s| s.machine(),
-    );
+    assert_shard_equivalence("boosting/kvmap", || {
+        BoostingSystem::new(KvMap::new(), programs())
+    });
 }
 
 #[test]
@@ -127,11 +120,9 @@ fn boosting_coarse_size_workload_is_verdict_equivalent() {
             })
             .collect::<Vec<_>>()
     };
-    assert_shard_equivalence(
-        "boosting/kvmap-size-coarse",
-        || BoostingSystem::new(KvMap::new(), programs()),
-        |s| s.machine(),
-    );
+    assert_shard_equivalence("boosting/kvmap-size-coarse", || {
+        BoostingSystem::new(KvMap::new(), programs())
+    });
 }
 
 #[test]
@@ -146,21 +137,17 @@ fn optimistic_sharding_is_verdict_equivalent() {
             })
             .collect::<Vec<_>>()
     };
-    assert_shard_equivalence(
-        "optimistic/rwmem",
-        || OptimisticSystem::new(RwMem::new(), programs(), ReadPolicy::Snapshot),
-        |s| s.machine(),
-    );
+    assert_shard_equivalence("optimistic/rwmem", || {
+        OptimisticSystem::new(RwMem::new(), programs(), ReadPolicy::Snapshot)
+    });
 }
 
 #[test]
 fn pessimistic_sharding_is_verdict_equivalent() {
     let prog = |v: i64| vec![Code::method(MemMethod::Write(Loc(0), v))];
-    assert_shard_equivalence(
-        "pessimistic/rwmem",
-        || MatveevShavitSystem::new(RwMem::new(), vec![prog(1), prog(2), prog(3), prog(4)]),
-        |s| s.machine(),
-    );
+    assert_shard_equivalence("pessimistic/rwmem", || {
+        MatveevShavitSystem::new(RwMem::new(), vec![prog(1), prog(2), prog(3), prog(4)])
+    });
 }
 
 fn rmw(l: u32, v: i64) -> Vec<Code<MemMethod>> {
@@ -172,45 +159,35 @@ fn rmw(l: u32, v: i64) -> Vec<Code<MemMethod>> {
 
 #[test]
 fn tl2_sharding_is_verdict_equivalent() {
-    assert_shard_equivalence(
-        "tl2/rwmem",
-        || Tl2System::new(vec![rmw(0, 1), rmw(1, 2), rmw(0, 3), rmw(1, 4)]),
-        |s| s.machine(),
-    );
+    assert_shard_equivalence("tl2/rwmem", || {
+        Tl2System::new(vec![rmw(0, 1), rmw(1, 2), rmw(0, 3), rmw(1, 4)])
+    });
 }
 
 #[test]
 fn twophase_sharding_is_verdict_equivalent() {
     let read0 = || vec![Code::method(MemMethod::Read(Loc(0)))];
-    assert_shard_equivalence(
-        "2pl/rwmem",
-        || TwoPhaseLocking::new(vec![read0(), read0(), rmw(1, 7), rmw(1, 8)]),
-        |s| s.machine(),
-    );
+    assert_shard_equivalence("2pl/rwmem", || {
+        TwoPhaseLocking::new(vec![read0(), read0(), rmw(1, 7), rmw(1, 8)])
+    });
 }
 
 #[test]
 fn htm_sharding_is_verdict_equivalent() {
-    assert_shard_equivalence(
-        "htm/rwmem",
-        || HtmSystem::new(vec![rmw(0, 1), rmw(1, 2), rmw(0, 3), rmw(2, 4)]),
-        |s| s.machine(),
-    );
+    assert_shard_equivalence("htm/rwmem", || {
+        HtmSystem::new(vec![rmw(0, 1), rmw(1, 2), rmw(0, 3), rmw(2, 4)])
+    });
 }
 
 #[test]
 fn irrevocable_sharding_is_verdict_equivalent() {
-    assert_shard_equivalence(
-        "irrevocable/rwmem",
-        || {
-            IrrevocableSystem::new(
-                RwMem::new(),
-                vec![rmw(0, 10), rmw(0, 20), rmw(1, 30), rmw(0, 40)],
-                ThreadId(0),
-            )
-        },
-        |s| s.machine(),
-    );
+    assert_shard_equivalence("irrevocable/rwmem", || {
+        IrrevocableSystem::new(
+            RwMem::new(),
+            vec![rmw(0, 10), rmw(0, 20), rmw(1, 30), rmw(0, 40)],
+            ThreadId(0),
+        )
+    });
 }
 
 #[test]
@@ -222,16 +199,12 @@ fn checkpoint_sharding_is_verdict_equivalent() {
             Code::method(MemMethod::Write(Loc(l), v)),
         ])]
     };
-    assert_shard_equivalence(
-        "checkpoint/rwmem",
-        || {
-            CheckpointOptimistic::new(
-                RwMem::new(),
-                vec![prog(0, 1), prog(0, 2), prog(1, 3), prog(1, 4)],
-            )
-        },
-        |s| s.machine(),
-    );
+    assert_shard_equivalence("checkpoint/rwmem", || {
+        CheckpointOptimistic::new(
+            RwMem::new(),
+            vec![prog(0, 1), prog(0, 2), prog(1, 3), prog(1, 4)],
+        )
+    });
 }
 
 #[test]
@@ -246,11 +219,9 @@ fn dependent_sharding_is_verdict_equivalent() {
             })
             .collect::<Vec<_>>()
     };
-    assert_shard_equivalence(
-        "dependent/counter",
-        || DependentSystem::new(Counter::new(), programs(), true),
-        |s| s.machine(),
-    );
+    assert_shard_equivalence("dependent/counter", || {
+        DependentSystem::new(Counter::new(), programs(), true)
+    });
 }
 
 #[test]
@@ -267,11 +238,9 @@ fn mixed_sharding_is_verdict_equivalent() {
             })
             .collect::<Vec<_>>()
     };
-    assert_shard_equivalence(
-        "mixed/product",
-        || MixedSystem::new(mixed_spec(), programs()),
-        |s| s.machine(),
-    );
+    assert_shard_equivalence("mixed/product", || {
+        MixedSystem::new(mixed_spec(), programs())
+    });
 }
 
 #[test]
@@ -295,7 +264,7 @@ fn midrun_resharding_preserves_state_and_verdicts() {
             let _ = sys.tick(ThreadId(t)).unwrap();
         }
     }
-    sys.set_log_shards(8);
+    sys.machine_mut().set_log_shards(8);
     let out = run(&mut sys, &mut sched, BUDGET).unwrap();
     assert!(out.completed);
     assert_eq!(sys.machine().log_shards(), 8);

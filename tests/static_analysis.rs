@@ -21,11 +21,13 @@ use pushpull::core::faults::{FaultHook, FaultKind};
 use pushpull::core::lang::Code;
 use pushpull::core::op::ThreadId;
 use pushpull::core::serializability::check_machine;
-use pushpull::core::RulePattern;
+use pushpull::core::{Machine, RulePattern};
 use pushpull::harness::testutil::assert_ledger_closes;
 use pushpull::harness::{run, run_parallel, FaultPlan, RoundRobin};
 use pushpull::spec::kvmap::{KvMap, MapMethod};
-use pushpull::tm::{full_rule_pattern, BoostingSystem, ParallelSystem, Tick, TmSystem};
+use pushpull::tm::{
+    full_rule_pattern, BoostingSystem, ParallelSystem, SystemStats, Tick, TmSystem,
+};
 
 const BUDGET: usize = 2_000_000;
 
@@ -79,7 +81,7 @@ fn static_plan_elides_checks_and_ledger_closes() {
 
     // Same schedule, facts armed.
     let mut sys = BoostingSystem::new(KvMap::new(), programs);
-    sys.set_static_discharge(plan.discharge.clone());
+    sys.machine().set_static_discharge(plan.discharge.clone());
     run(&mut sys, &mut RoundRobin, BUDGET).unwrap();
     assert!(sys.is_done());
     assert_eq!(sys.stats().commits, base.stats().commits);
@@ -125,6 +127,8 @@ fn analysis_enabled_run_survives_fault_injection() {
 struct Misdeclared(BoostingSystem<KvMap>);
 
 impl TmSystem for Misdeclared {
+    type Spec = KvMap;
+
     fn tick(&mut self, tid: ThreadId) -> Result<Tick, MachineError> {
         self.0.tick(tid)
     }
@@ -136,6 +140,15 @@ impl TmSystem for Misdeclared {
     }
     fn name(&self) -> &'static str {
         "misdeclared-boosting"
+    }
+    fn machine(&self) -> &Machine<KvMap> {
+        self.0.machine()
+    }
+    fn machine_mut(&mut self) -> &mut Machine<KvMap> {
+        self.0.machine_mut()
+    }
+    fn stats(&self) -> SystemStats {
+        self.0.stats()
     }
     fn declared_pattern(&self) -> Option<RulePattern> {
         Some(RulePattern::from_iter([Rule::App, Rule::Pull]))

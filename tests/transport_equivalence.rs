@@ -27,6 +27,7 @@ use pushpull::core::machine::Machine;
 use pushpull::core::op::ThreadId;
 use pushpull::core::serializability::check_machine;
 use pushpull::core::spec::SeqSpec;
+use pushpull::core::Metric;
 use pushpull::core::{FallbackMode, SeededBackoff, TransportConfig};
 use pushpull::harness::testutil::{assert_injection_accounted, assert_ledger_matches};
 use pushpull::harness::{run, FaultPlan, RoundRobin};
@@ -56,35 +57,36 @@ fn golden<T, Sp>(
     mut sys: T,
     shards: usize,
     channel: bool,
-    machine: impl Fn(&T) -> &Machine<Sp>,
 ) -> (String, String, pushpull::core::audit::CriteriaAudit)
 where
-    T: TmSystem,
+    T: TmSystem<Spec = Sp>,
     Sp: SeqSpec + Send + Sync + 'static,
     Sp::Method: std::fmt::Display + Send + Sync + 'static,
     Sp::Ret: Send + Sync + 'static,
     Sp::State: Send + Sync + 'static,
 {
-    sys.set_log_shards(shards);
+    sys.machine_mut().set_log_shards(shards);
     // Install after resharding: resharding rebuilds the shard layout and
     // detaches any installed transport.
     if channel {
-        machine(&sys).set_channel_transport(TransportConfig::default());
+        sys.machine()
+            .set_channel_transport(TransportConfig::default());
     } else {
-        machine(&sys).set_local_transport();
+        sys.machine().set_local_transport();
     }
     let which = if channel { "channel" } else { "local" };
     let out = run(&mut sys, &mut RoundRobin, BUDGET)
         .unwrap_or_else(|e| panic!("{label}@{shards}/{which}: machine error: {e}"));
     assert!(out.completed, "{label}@{shards}/{which}: wedged");
-    let m = machine(&sys);
-    let t = m.transport_stats();
+    let m = sys.machine();
+    let t = m.metrics();
     assert!(
-        t.requests > 0,
+        t[Metric::TransportRequests] > 0,
         "{label}@{shards}/{which}: no PUSH/UNPUSH ever crossed the transport"
     );
     assert_eq!(
-        t.degradations, 0,
+        t[Metric::TransportDegradations],
+        0,
         "{label}@{shards}/{which}: fault-free run must never degrade"
     );
     let report = check_machine(m);
@@ -101,21 +103,17 @@ where
 
 /// Runs `make()`'s system on both transports at every shard count and
 /// asserts the channel run is bit-identical to the local one.
-fn assert_transport_equivalence<T, Sp>(
-    label: &str,
-    make: impl Fn() -> T,
-    machine: impl Fn(&T) -> &Machine<Sp> + Copy,
-) where
-    T: TmSystem,
+fn assert_transport_equivalence<T, Sp>(label: &str, make: impl Fn() -> T)
+where
+    T: TmSystem<Spec = Sp>,
     Sp: SeqSpec + Send + Sync + 'static,
     Sp::Method: std::fmt::Display + Send + Sync + 'static,
     Sp::Ret: Send + Sync + 'static,
     Sp::State: Send + Sync + 'static,
 {
     for shards in SHARD_COUNTS {
-        let (local_commits, local_trace, local_audit) =
-            golden(label, make(), shards, false, machine);
-        let (chan_commits, chan_trace, chan_audit) = golden(label, make(), shards, true, machine);
+        let (local_commits, local_trace, local_audit) = golden(label, make(), shards, false);
+        let (chan_commits, chan_trace, chan_audit) = golden(label, make(), shards, true);
         assert_eq!(
             chan_commits, local_commits,
             "{label}@{shards}: committed transactions diverge"
@@ -147,11 +145,9 @@ fn boosting_transport_equivalent() {
             })
             .collect::<Vec<_>>()
     };
-    assert_transport_equivalence(
-        "boosting/kvmap",
-        || BoostingSystem::new(KvMap::new(), programs()),
-        |s| s.machine(),
-    );
+    assert_transport_equivalence("boosting/kvmap", || {
+        BoostingSystem::new(KvMap::new(), programs())
+    });
 }
 
 #[test]
@@ -166,64 +162,50 @@ fn optimistic_transport_equivalent() {
             })
             .collect::<Vec<_>>()
     };
-    assert_transport_equivalence(
-        "optimistic/rwmem",
-        || OptimisticSystem::new(RwMem::new(), programs(), ReadPolicy::Snapshot),
-        |s| s.machine(),
-    );
+    assert_transport_equivalence("optimistic/rwmem", || {
+        OptimisticSystem::new(RwMem::new(), programs(), ReadPolicy::Snapshot)
+    });
 }
 
 #[test]
 fn pessimistic_transport_equivalent() {
     let prog = |v: i64| vec![Code::method(MemMethod::Write(Loc(0), v))];
-    assert_transport_equivalence(
-        "pessimistic/rwmem",
-        || MatveevShavitSystem::new(RwMem::new(), vec![prog(1), prog(2), prog(3), prog(4)]),
-        |s| s.machine(),
-    );
+    assert_transport_equivalence("pessimistic/rwmem", || {
+        MatveevShavitSystem::new(RwMem::new(), vec![prog(1), prog(2), prog(3), prog(4)])
+    });
 }
 
 #[test]
 fn tl2_transport_equivalent() {
-    assert_transport_equivalence(
-        "tl2/rwmem",
-        || Tl2System::new(vec![rmw(0, 1), rmw(1, 2), rmw(0, 3), rmw(1, 4)]),
-        |s| s.machine(),
-    );
+    assert_transport_equivalence("tl2/rwmem", || {
+        Tl2System::new(vec![rmw(0, 1), rmw(1, 2), rmw(0, 3), rmw(1, 4)])
+    });
 }
 
 #[test]
 fn twophase_transport_equivalent() {
     let read0 = || vec![Code::method(MemMethod::Read(Loc(0)))];
-    assert_transport_equivalence(
-        "2pl/rwmem",
-        || TwoPhaseLocking::new(vec![read0(), read0(), rmw(1, 7), rmw(1, 8)]),
-        |s| s.machine(),
-    );
+    assert_transport_equivalence("2pl/rwmem", || {
+        TwoPhaseLocking::new(vec![read0(), read0(), rmw(1, 7), rmw(1, 8)])
+    });
 }
 
 #[test]
 fn htm_transport_equivalent() {
-    assert_transport_equivalence(
-        "htm/rwmem",
-        || HtmSystem::new(vec![rmw(0, 1), rmw(1, 2), rmw(0, 3), rmw(2, 4)]),
-        |s| s.machine(),
-    );
+    assert_transport_equivalence("htm/rwmem", || {
+        HtmSystem::new(vec![rmw(0, 1), rmw(1, 2), rmw(0, 3), rmw(2, 4)])
+    });
 }
 
 #[test]
 fn irrevocable_transport_equivalent() {
-    assert_transport_equivalence(
-        "irrevocable/rwmem",
-        || {
-            IrrevocableSystem::new(
-                RwMem::new(),
-                vec![rmw(0, 10), rmw(0, 20), rmw(1, 30), rmw(0, 40)],
-                ThreadId(0),
-            )
-        },
-        |s| s.machine(),
-    );
+    assert_transport_equivalence("irrevocable/rwmem", || {
+        IrrevocableSystem::new(
+            RwMem::new(),
+            vec![rmw(0, 10), rmw(0, 20), rmw(1, 30), rmw(0, 40)],
+            ThreadId(0),
+        )
+    });
 }
 
 #[test]
@@ -235,16 +217,12 @@ fn checkpoint_transport_equivalent() {
             Code::method(MemMethod::Write(Loc(l), v)),
         ])]
     };
-    assert_transport_equivalence(
-        "checkpoint/rwmem",
-        || {
-            CheckpointOptimistic::new(
-                RwMem::new(),
-                vec![prog(0, 1), prog(0, 2), prog(1, 3), prog(1, 4)],
-            )
-        },
-        |s| s.machine(),
-    );
+    assert_transport_equivalence("checkpoint/rwmem", || {
+        CheckpointOptimistic::new(
+            RwMem::new(),
+            vec![prog(0, 1), prog(0, 2), prog(1, 3), prog(1, 4)],
+        )
+    });
 }
 
 #[test]
@@ -259,11 +237,9 @@ fn dependent_transport_equivalent() {
             })
             .collect::<Vec<_>>()
     };
-    assert_transport_equivalence(
-        "dependent/counter",
-        || DependentSystem::new(Counter::new(), programs(), true),
-        |s| s.machine(),
-    );
+    assert_transport_equivalence("dependent/counter", || {
+        DependentSystem::new(Counter::new(), programs(), true)
+    });
 }
 
 #[test]
@@ -280,11 +256,9 @@ fn mixed_transport_equivalent() {
             })
             .collect::<Vec<_>>()
     };
-    assert_transport_equivalence(
-        "mixed/product",
-        || MixedSystem::new(mixed_spec(), programs()),
-        |s| s.machine(),
-    );
+    assert_transport_equivalence("mixed/product", || {
+        MixedSystem::new(mixed_spec(), programs())
+    });
 }
 
 /// The full degradation lifecycle on one machine, with *exact* counter
@@ -325,14 +299,14 @@ fn partition_degrade_heal_recover_lifecycle() {
     plan.partition_shard(0);
     let a = m.app_auto(t).unwrap();
     m.push(t, a).unwrap();
-    let s = m.transport_stats();
+    let s = m.metrics();
     assert_eq!(
         (
-            s.requests,
-            s.retries,
-            s.timeouts,
-            s.degradations,
-            s.recoveries
+            s[Metric::TransportRequests],
+            s[Metric::TransportRetries],
+            s[Metric::TransportTimeouts],
+            s[Metric::TransportDegradations],
+            s[Metric::TransportRecoveries]
         ),
         (1, 2, 3, 1, 0),
         "push under partition: 1 call, 2 retries, 3 missed deadlines, 1 degradation"
@@ -343,14 +317,14 @@ fn partition_degrade_heal_recover_lifecycle() {
     //    fails and the coarse path carries the op.
     let b = m.app_auto(t).unwrap();
     m.push(t, b).unwrap();
-    let s = m.transport_stats();
+    let s = m.metrics();
     assert_eq!(
         (
-            s.requests,
-            s.retries,
-            s.timeouts,
-            s.degradations,
-            s.recoveries
+            s[Metric::TransportRequests],
+            s[Metric::TransportRetries],
+            s[Metric::TransportTimeouts],
+            s[Metric::TransportDegradations],
+            s[Metric::TransportRecoveries]
         ),
         (2, 2, 4, 1, 0),
         "degraded push: 1 failed probe, no new degradation transition"
@@ -361,14 +335,14 @@ fn partition_degrade_heal_recover_lifecycle() {
     plan.heal_shard(0);
     let c = m.app_auto(t).unwrap();
     m.push(t, c).unwrap();
-    let s = m.transport_stats();
+    let s = m.metrics();
     assert_eq!(
         (
-            s.requests,
-            s.retries,
-            s.timeouts,
-            s.degradations,
-            s.recoveries
+            s[Metric::TransportRequests],
+            s[Metric::TransportRetries],
+            s[Metric::TransportTimeouts],
+            s[Metric::TransportDegradations],
+            s[Metric::TransportRecoveries]
         ),
         (4, 2, 4, 1, 1),
         "healed push: successful probe (recovery) + clean delivery"
@@ -377,14 +351,14 @@ fn partition_degrade_heal_recover_lifecycle() {
     // 4. Fully recovered: back to one request per push, nothing else.
     let d = m.app_auto(t).unwrap();
     m.push(t, d).unwrap();
-    let s = m.transport_stats();
+    let s = m.metrics();
     assert_eq!(
         (
-            s.requests,
-            s.retries,
-            s.timeouts,
-            s.degradations,
-            s.recoveries
+            s[Metric::TransportRequests],
+            s[Metric::TransportRetries],
+            s[Metric::TransportTimeouts],
+            s[Metric::TransportDegradations],
+            s[Metric::TransportRecoveries]
         ),
         (5, 2, 4, 1, 1),
         "recovered push: fast path again"
@@ -426,9 +400,14 @@ fn persistent_partition_fails_clean_without_coarse_fallback() {
         }
         other => panic!("expected TransportExhausted, got {other:?}"),
     }
-    let s = m.transport_stats();
+    let s = m.metrics();
     assert_eq!(
-        (s.requests, s.retries, s.timeouts, s.degradations),
+        (
+            s[Metric::TransportRequests],
+            s[Metric::TransportRetries],
+            s[Metric::TransportTimeouts],
+            s[Metric::TransportDegradations]
+        ),
         (1, 1, 2, 0),
         "fail mode: budget spent, no degradation"
     );
