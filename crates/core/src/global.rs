@@ -124,8 +124,19 @@
 //! records, and the criteria replay iterates cursors instead of
 //! collecting `Vec`s — per-op step complexity stops scaling with log
 //! length or allocator behavior.
+//!
+//! ## The op-id index and the committed watermark
+//!
+//! Each shard indexes its entries by op id, so every lookup by id (CMT
+//! criterion (iii), PULL, UNPUSH) is a hash probe, plus a binary search
+//! of the stamp when the position is wanted. The cached prefix length
+//! is a watermark: entries below it are committed and no rule removes
+//! or reorders a committed entry, so every scan for uncommitted entries
+//! (PUSH criterion (ii), the CMT flips, the UNPUSH gray suffix) starts
+//! there. [`Metric::EntriesScanned`] counts what these visit.
 
-use std::collections::HashSet;
+use std::cell::Cell;
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock, TryLockError};
 
@@ -138,7 +149,7 @@ use crate::lang::Code;
 use crate::log::{GlobalEntry, GlobalFlag, GlobalLog, LocalLog};
 use crate::machine::CheckMode;
 use crate::metrics::{Metric, MetricBlock, MetricsSnapshot};
-use crate::op::{Op, OpId, OpIdGen, ThreadId, TxnId};
+use crate::op::{IdHash, Op, OpId, OpIdGen, ThreadId, TxnId};
 use crate::snapcell::SnapCell;
 use crate::spec::SeqSpec;
 use crate::static_facts::StaticDischarge;
@@ -259,9 +270,15 @@ pub(crate) struct ShardSnap<S: SeqSpec> {
 }
 
 /// One footprint shard of the global log: an arena-backed segment of `G`
-/// with its commit-sequence append order and its own committed-prefix
-/// cache. Everything the shared rules read-modify on this shard sits
-/// behind one mutex in [`GlobalState::shards`].
+/// with its commit-sequence append order, an op-id index and its own
+/// committed-prefix cache. Everything the shared rules read-modify on
+/// this shard sits behind one mutex in [`GlobalState::shards`].
+///
+/// Entries `[..cache.len]` are committed, and no rule removes or
+/// reorders a committed entry: the cache length is a *watermark* below
+/// which nothing ever changes again. Lookups by id go through `index`
+/// and scans for uncommitted entries start at the watermark, so neither
+/// visits the committed history.
 #[derive(Debug)]
 pub(crate) struct ShardLog<S: SeqSpec> {
     /// Slab storage for this shard's segment of `G`: entries never move
@@ -273,11 +290,19 @@ pub(crate) struct ShardLog<S: SeqSpec> {
     /// by stamp reconstructs the total append order of `G`. Removals
     /// shift only these 16-byte records, never the entries.
     order: Vec<(u64, ArenaRef)>,
+    /// Op id → its `order` record. Kept by the only two mutators,
+    /// [`Self::push_entry`] and [`Self::remove_by_id`]; a position is
+    /// the stamp's binary-searched place in `order`.
+    index: HashMap<OpId, (u64, ArenaRef), IdHash>,
     /// The committed-prefix denotation cache for this segment.
     pub(crate) cache: PrefixCache<S::State>,
     /// Bumped on every mutation (append, removal, commit flip) — the
     /// validation token for [`ShardSnap`] speculation.
     pub(crate) version: u64,
+    /// Entries visited by lookups and uncommitted-entry scans, sampled
+    /// as [`Metric::EntriesScanned`]. A `Cell` because lookups borrow
+    /// the shard shared; the shard mutex still serializes them.
+    scanned: Cell<u64>,
 }
 
 // Manual impl: a derived `Clone` would demand `S: Clone`, which nothing
@@ -288,8 +313,10 @@ impl<S: SeqSpec> Clone for ShardLog<S> {
         Self {
             arena: self.arena.clone(),
             order: self.order.clone(),
+            index: self.index.clone(),
             cache: self.cache.clone(),
             version: self.version,
+            scanned: self.scanned.clone(),
         }
     }
 }
@@ -299,8 +326,10 @@ impl<S: SeqSpec> ShardLog<S> {
         Self {
             arena: SlabArena::new(),
             order: Vec::new(),
+            index: HashMap::default(),
             cache: PrefixCache::new(initial),
             version: 0,
+            scanned: Cell::new(0),
         }
     }
 
@@ -353,14 +382,33 @@ impl<S: SeqSpec> ShardLog<S> {
         self.order[pos].0
     }
 
+    /// Adds `n` visited entries to the shard's scan count.
+    fn note_scanned(&self, n: usize) {
+        self.scanned.set(self.scanned.get() + n as u64);
+    }
+
+    /// Position of the first entry stamped after `stamp` (`len()` if
+    /// none is).
+    fn position_after(&self, stamp: u64) -> usize {
+        self.order.partition_point(|(s, _)| *s <= stamp)
+    }
+
     /// Position of the entry with `id` in shard order.
     pub(crate) fn position(&self, id: OpId) -> Option<usize> {
-        self.iter().position(|e| e.op.id == id)
+        let (stamp, _) = *self.index.get(&id)?;
+        self.note_scanned(1);
+        let pos = self
+            .order
+            .binary_search_by_key(&stamp, |(s, _)| *s)
+            .expect("indexed stamps are in order");
+        Some(pos)
     }
 
     /// The entry with `id`, if present.
     pub(crate) fn entry(&self, id: OpId) -> Option<&GlobalEntry<S::Method, S::Ret>> {
-        self.iter().find(|e| e.op.id == id)
+        let (_, r) = *self.index.get(&id)?;
+        self.note_scanned(1);
+        Some(self.arena.get(r).expect("index refs are live"))
     }
 
     fn push_entry(&mut self, stamp: u64, entry: GlobalEntry<S::Method, S::Ret>) {
@@ -368,8 +416,11 @@ impl<S: SeqSpec> ShardLog<S> {
             self.order.last().is_none_or(|(s, _)| *s < stamp),
             "stamps must be strictly increasing within a shard"
         );
+        let id = entry.op.id;
         let r = self.arena.insert(entry);
         self.order.push((stamp, r));
+        self.index.insert(id, (stamp, r));
+        debug_assert_eq!(self.index.len(), self.order.len(), "op ids are unique in G");
     }
 
     /// Appends an uncommitted entry with `stamp` (the PUSH effect).
@@ -389,16 +440,21 @@ impl<S: SeqSpec> ShardLog<S> {
     pub(crate) fn remove_by_id(&mut self, id: OpId) -> Option<RemovedEntry<S>> {
         let pos = self.position(id)?;
         let (_, r) = self.order.remove(pos);
+        self.index.remove(&id);
+        debug_assert_eq!(self.index.len(), self.order.len());
         let entry = self.arena.remove(r).expect("order refs are live");
         Some((pos, entry))
     }
 
     /// Flips every entry of `local` held by this shard to committed,
     /// returning `(stamp, id)` per flip (the CMT effect on this shard).
+    /// Only the entries past the watermark can still be uncommitted.
     fn commit_local(&mut self, local: &LocalLog<S::Method, S::Ret>) -> Vec<(u64, OpId)> {
+        let from = self.cache.len;
+        self.note_scanned(self.order.len() - from);
         let ShardLog { arena, order, .. } = self;
         let mut flipped = Vec::new();
-        for (stamp, r) in order.iter() {
+        for (stamp, r) in &order[from..] {
             let e = arena.get_mut(*r).expect("order refs are live");
             if e.flag == GlobalFlag::Uncommitted && local.contains_id(e.op.id) {
                 e.flag = GlobalFlag::Committed;
@@ -510,10 +566,30 @@ impl<'a, S: SeqSpec> LogView<'a, S> {
     /// shard is already stamp-ordered). For a single shard this
     /// degenerates to a plain cursor walk.
     pub(crate) fn stamped(&self) -> StampedIter<'_, 'a, S> {
+        self.merge_from(|_| 0, false)
+    }
+
+    /// The stamp-ordered merge with each held shard's cursor starting at
+    /// `start(shard)`; a `counted` merge tallies every entry it visits
+    /// in [`Metric::EntriesScanned`].
+    fn merge_from(
+        &self,
+        start: impl Fn(&ShardLog<S>) -> usize,
+        counted: bool,
+    ) -> StampedIter<'_, 'a, S> {
         StampedIter {
             view: self,
-            pos: (0..self.shards.len()).map(|_| 0).collect(),
+            pos: self.shards.iter().map(|(_, sh)| start(sh)).collect(),
+            counted,
         }
+    }
+
+    /// The held *uncommitted* entries with their stamps, in stamp order.
+    /// Each shard's cursor starts at its watermark (`cache.len`): the
+    /// committed prefix below it is never visited.
+    pub(crate) fn uncommitted(&self) -> impl Iterator<Item = StampedEntryRef<'_, S>> + '_ {
+        self.merge_from(|sh| sh.cache.len, true)
+            .filter(|(_, e)| e.flag == GlobalFlag::Uncommitted)
     }
 
     /// Finds an entry by op id across the held shards.
@@ -535,14 +611,14 @@ impl<'a, S: SeqSpec> LogView<'a, S> {
     }
 
     /// The held entries strictly *after* `stamp`, in stamp order — the
-    /// suffix the UNPUSH gray criterion slides across. Cursor-backed: no
-    /// allocation.
+    /// suffix the UNPUSH gray criterion slides across. Each shard's
+    /// cursor starts at the binary-searched first later stamp.
+    /// Cursor-backed: no allocation.
     pub(crate) fn entries_after(
         &self,
         stamp: u64,
     ) -> impl Iterator<Item = &GlobalEntry<S::Method, S::Ret>> + '_ {
-        self.stamped()
-            .filter(move |(s, _)| *s > stamp)
+        self.merge_from(|sh| sh.position_after(stamp), true)
             .map(|(_, e)| e)
     }
 
@@ -573,6 +649,8 @@ pub(crate) struct StampedIter<'v, 'a, S: SeqSpec> {
     /// One cursor per held shard; inline up to 16 shards, so iterating
     /// any single- or CMT-width view allocates nothing.
     pos: crate::smallvec::SmallVec<usize, 16>,
+    /// Tally each visited entry in its shard's scan count?
+    counted: bool,
 }
 
 impl<'v, S: SeqSpec> Iterator for StampedIter<'v, '_, S> {
@@ -590,7 +668,11 @@ impl<'v, S: SeqSpec> Iterator for StampedIter<'v, '_, S> {
             }
         }
         let (k, s) = best?;
-        let e = self.view.shards[k].1.entry_at(self.pos[k]);
+        let sh = &self.view.shards[k].1;
+        if self.counted {
+            sh.note_scanned(1);
+        }
+        let e = sh.entry_at(self.pos[k]);
         self.pos[k] += 1;
         Some((s, e))
     }
@@ -746,8 +828,9 @@ impl<S: SeqSpec> GlobalState<S> {
             .fold(self.metrics.snapshot(), std::ops::Add::add)
     }
 
-    /// Shard `shard`'s own metrics: its lock and snapshot tallies and
-    /// its arena occupancy; every machine-wide slot is zero.
+    /// Shard `shard`'s own metrics: its lock and snapshot tallies, its
+    /// arena occupancy and its entry-scan count; every machine-wide slot
+    /// is zero.
     ///
     /// # Panics
     ///
@@ -758,6 +841,7 @@ impl<S: SeqSpec> GlobalState<S> {
         m[Metric::ArenaLive] = sh.arena.live() as u64;
         m[Metric::ArenaCapacity] = sh.arena.capacity() as u64;
         m[Metric::ArenaReused] = sh.arena.reused();
+        m[Metric::EntriesScanned] = sh.scanned.get();
         m
     }
 
@@ -1339,6 +1423,12 @@ impl<S: SeqSpec> GlobalState<S> {
         op: &Op<S::Method, S::Ret>,
     ) -> bool {
         self.audit.count_allowed(shard);
+        self.view_allows(view, op)
+    }
+
+    /// Unaudited `G allows op` over a held view, evaluated exactly as
+    /// [`Self::g_allows`] does (the read-only `can_push` fallback).
+    pub(crate) fn view_allows(&self, view: &LogView<'_, S>, op: &Op<S::Method, S::Ret>) -> bool {
         let states = if view.is_single() {
             let sh = &view.shards[0].1;
             if self.incremental() {
@@ -1563,5 +1653,170 @@ impl<S: SeqSpec> GlobalState<S> {
         };
         state.publish_all_shards();
         state
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::lang::Code;
+    use crate::log::{LocalEntry, LocalFlag};
+    use crate::rng::Xorshift64;
+    use crate::toy::{counter_op_t, CounterMethod, ToyCounter};
+
+    type Shard = ShardLog<ToyCounter>;
+
+    /// `(stamp, id)` of every entry the reference full scan finds.
+    fn scan_ids<'e>(
+        entries: impl Iterator<Item = StampedEntryRef<'e, ToyCounter>>,
+    ) -> Vec<(u64, OpId)> {
+        entries.map(|(s, e)| (s, e.op.id)).collect()
+    }
+
+    /// Checks every indexed answer of the view against the linear scans
+    /// the index replaced, for every id minted so far.
+    fn check_view(view: &LogView<'_, ToyCounter>, minted: u64, rng: &mut Xorshift64) {
+        for (_, sh) in &view.shards {
+            assert_eq!(sh.index.len(), sh.order.len());
+            assert!(
+                sh.iter()
+                    .take(sh.cache.len)
+                    .all(|e| e.flag == GlobalFlag::Committed),
+                "the watermark covers committed entries only"
+            );
+            for id in (0..minted).map(OpId) {
+                assert_eq!(sh.position(id), sh.iter().position(|e| e.op.id == id));
+                assert_eq!(sh.entry(id), sh.iter().find(|e| e.op.id == id));
+            }
+        }
+        for id in (0..minted).map(OpId) {
+            let scanned = view
+                .shards
+                .iter()
+                .enumerate()
+                .find_map(|(v, (_, sh))| sh.iter().position(|e| e.op.id == id).map(|p| (v, p)));
+            assert_eq!(view.find(id), scanned);
+            assert_eq!(
+                view.entry(id),
+                scanned.map(|(v, p)| view.shards[v].1.entry_at(p))
+            );
+        }
+        assert_eq!(
+            scan_ids(view.uncommitted()),
+            scan_ids(
+                view.stamped()
+                    .filter(|(_, e)| e.flag == GlobalFlag::Uncommitted)
+            ),
+        );
+        let all = scan_ids(view.stamped());
+        if !all.is_empty() {
+            let (stamp, _) = all[rng.gen_index(all.len())];
+            let after: Vec<OpId> = view.entries_after(stamp).map(|e| e.op.id).collect();
+            let scanned: Vec<OpId> = all
+                .iter()
+                .filter(|(s, _)| *s > stamp)
+                .map(|(_, id)| *id)
+                .collect();
+            assert_eq!(after, scanned);
+        }
+    }
+
+    /// Seeded random pushes, removals, commit flips and cache advances
+    /// over `n` shards, checking the index and the watermark scans
+    /// against full scans after every step.
+    fn index_matches_scans(n: usize, seed: u64) {
+        let spec = ToyCounter::with_bound(1 << 20);
+        let logs: Vec<Mutex<Shard>> = (0..n)
+            .map(|_| Mutex::new(ShardLog::new(spec.initial_states())))
+            .collect();
+        let mut view = LogView {
+            shards: logs
+                .iter()
+                .enumerate()
+                .map(|(i, m)| (i, m.lock().unwrap()))
+                .collect(),
+        };
+        let mut rng = Xorshift64::new(seed);
+        let (mut minted, mut stamp) = (0u64, 0u64);
+        let steps = if cfg!(miri) { 40 } else { 400 };
+        for _ in 0..steps {
+            match rng.gen_index(4) {
+                0 | 1 => {
+                    let k = rng.gen_index(n);
+                    let method = if rng.gen_bool(0.5) {
+                        CounterMethod::Inc
+                    } else {
+                        CounterMethod::Dec
+                    };
+                    let op = counter_op_t(minted, minted % 3, method, 0);
+                    view.shards[k].1.push_uncommitted(stamp, op);
+                    minted += 1;
+                    stamp += 1 + rng.gen_range(0..3);
+                }
+                2 => {
+                    // UNPUSH removes uncommitted entries only; an id that
+                    // is gone (or never reached G) removes nothing.
+                    let id = OpId(rng.gen_range(0..minted.max(1)));
+                    for (_, sh) in &mut view.shards {
+                        let uncommitted = sh
+                            .iter()
+                            .any(|e| e.op.id == id && e.flag == GlobalFlag::Uncommitted);
+                        let before = sh.iter().position(|e| e.op.id == id);
+                        if uncommitted {
+                            let (pos, e) = sh.remove_by_id(id).expect("present");
+                            assert_eq!((Some(pos), e.op.id), (before, id));
+                        } else if before.is_none() {
+                            assert!(sh.remove_by_id(id).is_none());
+                        }
+                    }
+                }
+                _ => {
+                    let mut local = LocalLog::new();
+                    for id in (0..minted).map(OpId) {
+                        if rng.gen_bool(0.4) {
+                            local.push_entry(LocalEntry {
+                                op: counter_op_t(id.0, 0, CounterMethod::Inc, 0),
+                                flag: LocalFlag::Pushed {
+                                    saved_code: Code::Skip,
+                                    saved_stack: vec![],
+                                },
+                            });
+                        }
+                    }
+                    let expected: Vec<OpId> = view
+                        .stamped()
+                        .filter(|(_, e)| {
+                            e.flag == GlobalFlag::Uncommitted && local.contains_id(e.op.id)
+                        })
+                        .map(|(_, e)| e.op.id)
+                        .collect();
+                    assert_eq!(view.commit_local(&local), expected);
+                    if rng.gen_bool(0.7) {
+                        for (_, sh) in &mut view.shards {
+                            GlobalState::advance_shard_cache(&spec, sh);
+                        }
+                    }
+                }
+            }
+            check_view(&view, minted, &mut rng);
+        }
+        assert!(
+            view.shards.iter().any(|(_, sh)| sh.cache.len > 0),
+            "the run never raised a watermark"
+        );
+    }
+
+    #[test]
+    fn shard_index_matches_linear_scans() {
+        for seed in 1..=3 {
+            index_matches_scans(1, seed);
+        }
+    }
+
+    #[test]
+    fn three_shard_index_and_watermark_scans_match_full_scans() {
+        for seed in 1..=3 {
+            index_matches_scans(3, seed);
+        }
     }
 }

@@ -346,11 +346,8 @@ impl<S: SeqSpec> Machine<S> {
     /// The recorded trace: every handle's sequence-stamped event buffer,
     /// merged into the real-time total order.
     pub fn trace(&self) -> Trace<S::Method, S::Ret> {
-        let mut stamped: Vec<&crate::handle::StampedEvent<S>> = self
-            .handles
-            .iter()
-            .flat_map(|h| h.events().iter())
-            .collect();
+        let mut stamped: Vec<&crate::handle::StampedEvent<S>> =
+            self.handles.iter().flat_map(|h| h.events()).collect();
         stamped.sort_by_key(|(seq, _)| *seq);
         let mut trace = Trace::new();
         for (_, e) in stamped {
@@ -681,6 +678,22 @@ mod tests {
         assert_eq!(m.committed_txns().len(), 1);
         assert_eq!(m.committed_txns()[0].txn, txn);
         assert_eq!(m.trace().rule_names(t), vec!["BEGIN", "APP", "PUSH", "CMT"]);
+    }
+
+    #[test]
+    fn trace_reads_across_event_chunks() {
+        // Four events per transaction: 400 of them fill more than one
+        // chunk of the handle's trace buffer.
+        let mut m = Machine::new(ToyCounter::with_bound(1_000));
+        let t = m.add_thread(vec![inc_code(); 400]);
+        for _ in 0..400 {
+            m.app_auto(t).unwrap();
+            m.push_all_and_commit(t).unwrap();
+        }
+        assert_eq!(
+            m.trace().rule_names(t),
+            ["BEGIN", "APP", "PUSH", "CMT"].repeat(400)
+        );
     }
 
     #[test]

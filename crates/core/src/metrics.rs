@@ -75,6 +75,10 @@ metrics! {
     ArenaCapacity = "core.global.arena_capacity", Gauge;
     /// Arena slots recycled after an UNPUSH freed them.
     ArenaReused = "core.global.arena_reused", Counter;
+    /// Log entries visited by id lookups (one per hit) and by the scans
+    /// for uncommitted entries: CMT flips, PUSH criterion (ii), the
+    /// UNPUSH gray suffix (per shard). Flat in committed history.
+    EntriesScanned = "core.global.entries_scanned", Counter;
     /// Logical transport requests (calls and probes; retries of one call
     /// count once).
     TransportRequests = "core.transport.requests", Counter;
@@ -339,6 +343,7 @@ mod tests {
             Metric::LockAcquires,
             Metric::SnapReads,
             Metric::ArenaLive,
+            Metric::EntriesScanned,
             Metric::TransportRequests,
             Metric::GroupBatches,
             Metric::GroupSize2,
@@ -351,12 +356,13 @@ mod tests {
     }
 
     /// Slots the shard layout owns: they restart on `set_log_shards`.
-    const PER_SHARD: [Metric; 5] = [
+    const PER_SHARD: [Metric; 6] = [
         Metric::LockAcquires,
         Metric::LockContended,
         Metric::SnapReads,
         Metric::SnapRetries,
         Metric::SnapFallbacks,
+        Metric::EntriesScanned,
     ];
 
     #[test]

@@ -43,6 +43,44 @@ impl fmt::Display for OpId {
     }
 }
 
+/// The hasher for maps keyed by [`OpId`]: one multiply by the 64-bit
+/// golden ratio. Op ids are minted sequentially by one counter, so
+/// SipHash's flood resistance buys nothing and its cost shows on every
+/// shard lookup. The multiply maps consecutive ids to distinct low
+/// (bucket) bits and mixes them into the high (tag) bits.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct IdHash;
+
+/// The [`std::hash::Hasher`] that [`IdHash`] builds.
+#[derive(Debug, Default)]
+pub(crate) struct IdHasher(u64);
+
+const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
+
+impl std::hash::Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0.rotate_left(8) ^ u64::from(b)).wrapping_mul(GOLDEN);
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0 ^ n).wrapping_mul(GOLDEN);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+impl std::hash::BuildHasher for IdHash {
+    type Hasher = IdHasher;
+
+    fn build_hasher(&self) -> IdHasher {
+        IdHasher(0)
+    }
+}
+
 /// Identifier of a *transaction instance*.
 ///
 /// A thread executes a sequence of transactions; each attempt that reaches
@@ -193,6 +231,25 @@ mod tests {
         gen.fresh();
         let clone = gen.clone();
         assert_eq!(clone.fresh(), OpId(2));
+    }
+
+    #[test]
+    fn id_hash_spreads_consecutive_ids() {
+        use std::hash::BuildHasher;
+        // 1024 consecutive ids land in 1024 distinct buckets of a
+        // 1024-bucket table, and their 7-bit tags are not all alike.
+        let hashes: Vec<u64> = (500..1524).map(|i| IdHash.hash_one(OpId(i))).collect();
+        let mut buckets: Vec<u64> = hashes.iter().map(|h| h & 1023).collect();
+        buckets.sort_unstable();
+        buckets.dedup();
+        assert_eq!(buckets.len(), 1024);
+        let mut tags: Vec<u64> = hashes.iter().map(|h| h >> 57).collect();
+        tags.sort_unstable();
+        tags.dedup();
+        assert!(tags.len() > 100, "{} distinct tags", tags.len());
+        let map: std::collections::HashMap<OpId, u64, IdHash> =
+            (0..1000).map(|i| (OpId(i), i)).collect();
+        assert!((0..1000).all(|i| map[&OpId(i)] == i));
     }
 
     #[test]

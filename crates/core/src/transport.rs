@@ -335,7 +335,8 @@ pub trait ShardTransport<S: SeqSpec>: fmt::Debug + Send + Sync {
 /// `op`. A single-shard view inspects only entries sharing op's
 /// footprint class — entries on other shards have disjoint declared
 /// footprints and are both-movers by the validated footprint law, so
-/// the verdict is identical.
+/// the verdict is identical. The scan starts at each shard's committed
+/// watermark ([`LogView::uncommitted`]): nothing below it qualifies.
 pub(crate) fn locked_push_criteria<S: SeqSpec>(
     global: &GlobalState<S>,
     txn: TxnId,
@@ -344,15 +345,12 @@ pub(crate) fn locked_push_criteria<S: SeqSpec>(
     op: &Op<S::Method, S::Ret>,
 ) -> MachineResult<()> {
     use crate::error::{Clause, Rule};
-    use crate::log::GlobalFlag;
 
     if global.statically_discharged(Rule::Push, Clause::Ii) {
         #[cfg(debug_assertions)]
-        for (_, g) in view.stamped() {
+        for (_, g) in view.uncommitted() {
             assert!(
-                g.flag != GlobalFlag::Uncommitted
-                    || g.op.txn == txn
-                    || global.spec().mover(&g.op, op),
+                g.op.txn == txn || global.spec().mover(&g.op, op),
                 "static discharge of PUSH (ii) contradicted dynamically: {} vs {}",
                 g.op.id,
                 op.id
@@ -360,11 +358,8 @@ pub(crate) fn locked_push_criteria<S: SeqSpec>(
         }
         global.audit.pass_static(Rule::Push, Clause::Ii);
     } else {
-        for (_, g) in view.stamped() {
-            if g.flag == GlobalFlag::Uncommitted
-                && g.op.txn != txn
-                && !global.mover_q(audit_shard, &g.op, op)
-            {
+        for (_, g) in view.uncommitted() {
+            if g.op.txn != txn && !global.mover_q(audit_shard, &g.op, op) {
                 global.audit.fail(Rule::Push, Clause::Ii);
                 return Err(MachineError::criterion(
                     Rule::Push,

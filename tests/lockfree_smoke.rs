@@ -168,3 +168,64 @@ fn sticky_coarse_disables_the_fast_path_without_changing_verdicts() {
     m.push(tb, put).expect("push put");
     m.commit(tb).expect("commit put");
 }
+
+/// A snapshot "no" is re-checked under the lock, and that locked
+/// evaluation runs as PUSH runs it: criterion (ii) from the committed
+/// watermark, criterion (iii) from the shard's cached prefix. Over a few
+/// hundred committed entries it visits none of them, and its verdict
+/// equals a full replay of the routed log, with the cache on or off.
+#[test]
+fn denied_can_push_rechecks_from_the_cached_prefix() {
+    use pushpull::core::spec::SeqSpec;
+
+    const HISTORY: usize = 300;
+    let mut m = Machine::new(ToyCounter::with_bound(HISTORY as i64));
+    let ta = m.add_thread(vec![Code::method(CounterMethod::Inc); HISTORY]);
+    let tb = m.add_thread(vec![Code::method(CounterMethod::Inc)]);
+    for _ in 0..HISTORY {
+        m.app_auto(ta).expect("app A");
+        m.push_all_and_commit(ta).expect("commit A");
+    }
+    // B never pulled, so its local Inc is fine; the shared counter is
+    // at its bound, so PUSH criterion (iii) denies it.
+    let op = m.app_auto(tb).expect("app B");
+    let inc = m
+        .thread(tb)
+        .expect("thread B")
+        .local()
+        .entry(op)
+        .expect("applied above")
+        .op
+        .clone();
+    let replayed = m.spec().allows(&m.global().ops(), &inc);
+    assert!(!replayed, "the full replay denies B's Inc");
+
+    for incremental in [true, false] {
+        m.set_incremental(incremental);
+        let before = m.metrics();
+        assert_eq!(
+            m.can_push(tb, op).expect("well-formed op"),
+            replayed,
+            "incremental={incremental}"
+        );
+        let after = m.metrics();
+        assert_eq!(
+            after[Metric::SnapFallbacks],
+            before[Metric::SnapFallbacks] + 1,
+            "the snapshot's no must be re-checked under the lock"
+        );
+        assert_eq!(
+            after[Metric::LockAcquires],
+            before[Metric::LockAcquires] + 1
+        );
+        assert_eq!(
+            after[Metric::EntriesScanned],
+            before[Metric::EntriesScanned],
+            "the committed history lies below the watermark"
+        );
+    }
+    assert!(
+        m.push(tb, op).is_err(),
+        "push must agree with the prediction"
+    );
+}

@@ -501,3 +501,32 @@ fn ten_thousand_sessions_multiplex() {
         assert!(o.is_committed(), "{s}: {o:?}");
     }
 }
+
+/// Entries visited per commit stay flat as committed history grows:
+/// lookups by id probe each shard's op-id index, and the scans for
+/// uncommitted entries (CMT flips, PUSH criterion (ii)) start at the
+/// committed watermark. Eight times the sessions, and so eight times
+/// the history, must not raise `core.global.entries_scanned` per
+/// commit by more than 10%.
+#[test]
+fn entries_scanned_per_commit_is_flat_in_history() {
+    fn scanned_per_commit(sessions: u64) -> f64 {
+        let scripts: Vec<_> = (0..sessions)
+            .map(|s| SessionScript::commit(vec![MapMethod::Put(s, s as i64)]))
+            .collect();
+        let mut sys = TxnServer::new(KvMap::new(), scripts, ServerConfig::default());
+        let out = run(&mut sys, &mut RoundRobin, BUDGET).expect("machine error");
+        assert!(out.completed, "{sessions}-session drain wedged");
+        let commits = sys.stats().commits;
+        assert_eq!(commits, sessions);
+        sys.machine().metrics()[Metric::EntriesScanned] as f64 / commits as f64
+    }
+    let short = scanned_per_commit(256);
+    let long = scanned_per_commit(2_048);
+    assert!(short > 0.0, "the counter never moved");
+    assert!(
+        long <= 1.1 * short,
+        "entries scanned per commit grew with history: {short:.2} at 256 \
+         sessions, {long:.2} at 2048"
+    );
+}
